@@ -1,9 +1,16 @@
 """Coefficient estimation from measurement records, plus MAPE scoring.
 
-All fits are least squares. The linear-in-parameter fits go through normal
-equations with column scaling and fall back to an orthogonal decomposition
-when the design is badly conditioned; the exponential decay is a grid search
-over the rate with a golden-section refinement.
+All fits are least squares. The two latency fits (the prefill quadratic and
+the decode (m, n) pair) solve column-scaled normal equations and fall back to
+an SVD solve when the design is badly conditioned. Every other fit reduces to
+y ~ p*u + q for a known u, solved in closed form by ``_fit_two``: the log
+curve with u = ln x, the piecewise floor with a constant u, and the
+exponential decay with u = exp(-lambda*x) at each candidate rate (variable
+projection, Golub and Pereyra 1973). The rate is scanned on a geometric grid
+in one vectorised pass and refined by golden section.
+
+Every coefficient and SSE is returned as a finite plain ``float``; a fit that
+would be non-finite raises ``DegenerateDesign`` instead.
 """
 
 from __future__ import annotations
@@ -71,6 +78,18 @@ class FitResult:
     points_used: int
 
 
+def _finite(*values) -> list[float]:
+    """The values as plain floats; DegenerateDesign if any is nan or infinite.
+
+    The public fitters run with numpy's floating-point warnings off
+    (``np.errstate``), so an overflow surfaces here and not as a warning.
+    """
+    out = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in out):
+        raise DegenerateDesign("the fit is not finite; the measurements are out of range")
+    return out
+
+
 def _solve_least_squares(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Column-scaled normal equations with an SVD fallback for bad conditioning."""
     scale = np.linalg.norm(design, axis=0)
@@ -86,6 +105,25 @@ def _solve_least_squares(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
     return coef, float(residuals @ residuals)
 
 
+def _fit_two(u: np.ndarray, y: np.ndarray):
+    """Least squares for y ~ p*u + q in closed form, one fit per row of ``u``.
+
+    Centred sums keep the slope accurate, and the SSE is summed from the
+    explicit residuals. A constant row has du = 0, so sxy = 0 and p = 0/1:
+    the constant fit q = mean(y). Returns (p, q, sse), shaped like u[..., 0].
+    """
+    n = u.shape[-1]
+    u_mean = u.sum(axis=-1, keepdims=True) / n  # what mean() computes, without its overhead
+    du = u - u_mean
+    y_mean = y.sum() / n
+    sxx = (du * du).sum(axis=-1)
+    p = (du @ (y - y_mean)) / (sxx + (sxx == 0))
+    q = y_mean - p * u_mean[..., 0]
+    residuals = y - (p[..., None] * u + q[..., None])
+    return p, q, (residuals * residuals).sum(axis=-1)
+
+
+@np.errstate(all="ignore")
 def fit_prefill_latency(records: Iterable[MeasurementRecord]) -> FitResult:
     """Fit the quadratic prefill model on padded lengths.
 
@@ -105,13 +143,15 @@ def fit_prefill_latency(records: Iterable[MeasurementRecord]) -> FitResult:
     y = np.array([r.latency for r in rows], dtype=np.float64)
     design = np.column_stack([ipad**2, ipad, np.ones_like(ipad)])
     coef, sse = _solve_least_squares(design, y)
+    a, b, c, sse = _finite(*coef, sse)
     return FitResult(
-        coefficients=PrefillLatencyCoeffs(a=coef[0], b=coef[1], c=coef[2]),
+        coefficients=PrefillLatencyCoeffs(a=a, b=b, c=c),
         residual_sse=sse,
         points_used=len(rows),
     )
 
 
+@np.errstate(all="ignore")
 def fit_decode_latency(records: Iterable[MeasurementRecord]) -> FitResult:
     """Fit (m, n) by least squares on [O, I*O + O*(O-1)/2] with no intercept."""
     rows = [r for r in records if r.phase is Phase.DECODE and r.output_len > 0]
@@ -126,13 +166,15 @@ def fit_decode_latency(records: Iterable[MeasurementRecord]) -> FitResult:
         raise DegenerateDesign("decode features are collinear")
     y = np.array([r.latency for r in rows], dtype=np.float64)
     coef, sse = _solve_least_squares(design, y)
+    m, n, sse = _finite(*coef, sse)
     return FitResult(
-        coefficients=DecodeLatencyCoeffs(m=coef[0], n=coef[1]),
+        coefficients=DecodeLatencyCoeffs(m=m, n=n),
         residual_sse=sse,
         points_used=len(rows),
     )
 
 
+@np.errstate(all="ignore")
 def fit_log_curve(points: Sequence[tuple[float, float]], min_x: float = 1.0) -> FitResult:
     """Fit y = alpha*ln(x) + beta over points with x >= min_x."""
     kept = [(x, y) for x, y in points if x >= min_x]
@@ -142,40 +184,40 @@ def fit_log_curve(points: Sequence[tuple[float, float]], min_x: float = 1.0) -> 
         )
     x = np.array([p[0] for p in kept], dtype=np.float64)
     y = np.array([p[1] for p in kept], dtype=np.float64)
-    design = np.column_stack([np.log(x), np.ones_like(x)])
-    coef, sse = _solve_least_squares(design, y)
+    alpha, beta, sse = _finite(*_fit_two(np.log(x), y))
     return FitResult(
-        coefficients=LogCurve(log_alpha=coef[0], log_beta=coef[1]),
+        coefficients=LogCurve(log_alpha=alpha, log_beta=beta),
         residual_sse=sse,
         points_used=len(kept),
     )
 
 
-def _decay_sse_at(lam: float, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    basis = np.exp(-lam * x)
-    design = np.column_stack([basis, np.ones_like(x)])
-    coef, sse = _solve_least_squares(design, y)
-    return sse, coef
+def _decay_sse_at(lam: float, x: np.ndarray, y: np.ndarray) -> float:
+    return _fit_two(np.exp(-lam * x), y)[2]
 
 
+@np.errstate(all="ignore")
 def fit_exp_decay(points: Sequence[tuple[float, float]]) -> FitResult:
     """Fit y = A*exp(-lambda*x) + C.
 
-    The rate is scanned on a geometric grid over [1e-5, 1], with (A, C)
-    solved linearly at each candidate, then refined by golden section around
-    the best grid cell. Collapses to the constant fit (with a warning) when
-    the best decay amplitude is nonpositive.
+    Needs at least four points on at least three distinct x. For a fixed
+    rate, (A, C) is a two-parameter linear fit in closed form; the rate is
+    scanned on a geometric grid over [1e-5, 1] in one pass, then refined by
+    golden section around the best grid cell. Collapses to the constant fit
+    (with a warning) when the best decay amplitude is nonpositive.
     """
     if len(points) < 4:
         raise InsufficientData(f"need >= 4 points, found {len(points)}")
     x = np.array([p[0] for p in points], dtype=np.float64)
     y = np.array([p[1] for p in points], dtype=np.float64)
+    distinct = len(set(x.tolist()))
+    if distinct < 3:
+        raise InsufficientData(f"need >= 3 distinct x, found {distinct}")
     if np.any(y <= 0):
         raise InsufficientData("all y values must be positive")
 
     grid = np.geomspace(1e-5, 1.0, 80)
-    sses = [_decay_sse_at(lam, x, y)[0] for lam in grid]
-    best = int(np.argmin(sses))
+    best = int(np.argmin(_fit_two(np.exp(-np.outer(grid, x)), y)[2]))
 
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
@@ -183,53 +225,45 @@ def fit_exp_decay(points: Sequence[tuple[float, float]]) -> FitResult:
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc = _decay_sse_at(c, x, y)[0]
-    fd = _decay_sse_at(d, x, y)[0]
+    fc = _decay_sse_at(c, x, y)
+    fd = _decay_sse_at(d, x, y)
     while (b - a) > 1e-6 * a:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = _decay_sse_at(c, x, y)[0]
+            fc = _decay_sse_at(c, x, y)
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = _decay_sse_at(d, x, y)[0]
+            fd = _decay_sse_at(d, x, y)
     lam = (a + b) / 2.0
-    sse, coef = _decay_sse_at(lam, x, y)
-
-    if coef[0] <= 0:
-        mean = float(np.mean(y))
+    amp, floor, sse = _fit_two(np.exp(-lam * x), y)
+    if amp <= 0:
         warnings.warn(
             "no exponential decay detected; returning the constant fit",
             NoDecayDetectedWarning,
-            stacklevel=2,
+            stacklevel=3,  # past the np.errstate wrapper, to the caller
         )
-        const_sse = float(np.sum((y - mean) ** 2))
-        return FitResult(
-            coefficients=ExpDecay(exp_A=0.0, exp_lambda=0.0, exp_C=mean),
-            residual_sse=const_sse,
-            points_used=len(points),
-        )
+        amp, lam = 0.0, 0.0
+        _, floor, sse = _fit_two(np.zeros_like(y), y)
+    amp, lam, floor, sse = _finite(amp, lam, floor, sse)
     return FitResult(
-        coefficients=ExpDecay(exp_A=float(coef[0]), exp_lambda=lam, exp_C=float(coef[1])),
+        coefficients=ExpDecay(exp_A=amp, exp_lambda=lam, exp_C=floor),
         residual_sse=sse,
         points_used=len(points),
     )
 
 
-def _constant_fit(y: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(y))
-    return mean, float(np.sum((y - mean) ** 2))
-
-
+@np.errstate(all="ignore")
 def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult:
     """Fit a two-regime model, selecting the breakpoint by combined SSE.
 
     ``kind`` is "power" (constant floor, then log) or "energy" (exponential
     decay, then log). Breakpoint candidates are the observed x values with at
-    least three points on each side (four on the left for the decay branch);
-    equal SSE prefers the smaller breakpoint. Data a single branch already
-    explains degenerates to that branch with the breakpoint at max x.
+    least three points on each side (four on the left for the decay branch),
+    two distinct positive x on the right, and a left side the decay branch
+    can fit; equal SSE prefers the smaller breakpoint. Data a single branch
+    already explains degenerates to that branch with the breakpoint at max x.
     """
     if kind not in ("power", "energy"):
         raise ValueError(f"kind must be 'power' or 'energy', got {kind!r}")
@@ -238,13 +272,16 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     pts = sorted(points)
     xs = np.array([p[0] for p in pts], dtype=np.float64)
     ys = np.array([p[1] for p in pts], dtype=np.float64)
+    log_xs = np.log(xs)
     min_left = 4 if kind == "energy" else 3
 
-    def left_fit(mask) -> tuple[float, dict]:
+    def left_fit(n: int) -> tuple[float, dict]:
+        """The left branch over the n smallest x."""
         if kind == "power":
-            floor, sse = _constant_fit(ys[mask])
+            _, floor, sse = _fit_two(np.zeros(n), ys[:n])
+            floor, sse = _finite(floor, sse)
             return sse, {"floor_watts": floor}
-        result = fit_exp_decay(list(zip(xs[mask], ys[mask])))
+        result = fit_exp_decay(list(zip(xs[:n], ys[:n])))
         c = result.coefficients
         return result.residual_sse, {
             "exp_A": c.exp_A,
@@ -253,41 +290,30 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
         }
 
     best = None  # (sse, breakpoint, left_params, right_params)
-    candidates = sorted({float(x) for x in xs})
-    for bp in candidates[:-1]:
-        left = xs <= bp
-        right = ~left
-        if int(np.sum(left)) < min_left or int(np.sum(right)) < 3:
-            continue
-        if len({float(x) for x in xs[right]}) < 2:
-            continue
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NoDecayDetectedWarning)
-                sse_l, params_l = left_fit(left)
-        except InsufficientData:
-            continue
-        log_fit = fit_log_curve(list(zip(xs[right], ys[right])), min_x=0.0)
-        sse = sse_l + log_fit.residual_sse
-        if best is None or sse < best[0] - 1e-15:
-            best = (
-                sse,
-                bp,
-                params_l,
-                {
-                    "log_alpha": log_fit.coefficients.log_alpha,
-                    "log_beta": log_fit.coefficients.log_beta,
-                },
-            )
-
-    # Single-branch alternative over the whole domain.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NoDecayDetectedWarning)
-        single_sse, single_params = left_fit(np.ones_like(xs, dtype=bool))
+        # n points on the left, x <= bp, and at least three on the right.
+        for n in range(min_left, len(xs) - 2):
+            bp = float(xs[n - 1])
+            # bp must end its run of equal x; the right needs two distinct x > 0.
+            if bp == xs[n] or xs[n] == xs[-1] or xs[n] <= 0:
+                continue
+            try:
+                sse_l, params_l = left_fit(n)
+            except InsufficientData:
+                continue
+            alpha, beta, sse_r = _finite(*_fit_two(log_xs[n:], ys[n:]))
+            sse = sse_l + sse_r
+            if best is None or sse < best[0] - 1e-15:
+                best = (sse, bp, params_l, {"log_alpha": alpha, "log_beta": beta})
+
+        # Single-branch alternative over the whole domain.
+        single_sse, single_params = left_fit(len(xs))
     if best is None or single_sse <= best[0] + 1e-15:
         best = (single_sse, float(xs[-1]), single_params, {})
 
     sse, bp, params_l, params_r = best
+    (sse,) = _finite(sse)
     if kind == "power":
         coeffs: Coefficients = PiecewisePowerModel(
             floor_watts=params_l["floor_watts"],

@@ -548,9 +548,9 @@ def load_measurements(source: Source) -> list[MeasurementRecord]:
                 phase=Phase(row[0].strip()),
                 input_len=int(row[1]),
                 output_len=int(row[2]) if row[2].strip() else 0,
-                latency=float(row[3]),
-                power=float(row[4]) if row[4].strip() else None,
-                energy=float(row[5]) if row[5].strip() else None,
+                latency=_finite_cell(row[3]),
+                power=_finite_cell(row[4]) if row[4].strip() else None,
+                energy=_finite_cell(row[5]) if row[5].strip() else None,
             )
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
@@ -559,6 +559,14 @@ def load_measurements(source: Source) -> list[MeasurementRecord]:
             raise InvariantViolation(bad[0].field, f"{bad[0].rule} (line {lineno})")
         records.append(record)
     return records
+
+
+def _finite_cell(cell: str) -> float:
+    """A measurement cell as a float; ValueError (a ParseError to the caller) unless finite."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell.strip()!r}")
+    return value
 
 
 def _read_text_csv(source: Source) -> str:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -191,6 +192,13 @@ class TestValidate:
         assert code == 2
         assert err != ""
 
+    def test_infinite_latency_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("phase,input_len,output_len,latency_s,power_w,energy_j\nprefill,128,0,inf,,\n")
+        code, out, err = run(capsys, "validate", "--model", "dsr1-qwen-1.5b", "--data", str(path))
+        assert (code, out) == (2, "")
+        assert "non-finite" in err
+
 
 class TestCost:
     def test_paper_figures(self, capsys):
@@ -299,6 +307,40 @@ class TestFit:
         doc = json.loads(out)
         assert set(doc["fit"]["prefill_latency"]) == {"a", "b", "c"}
         assert doc["points_used"] == 4
+
+
+    ENERGY_ROWS = [(16, 0.05), (32, 0.03), (64, 0.01), (128, 0.005), (256, 0.002)]
+
+    def energy_fit(self, capsys, tmp_path, rows):
+        lines = ["phase,input_len,output_len,latency_s,power_w,energy_j"]
+        lines += [f"prefill,{i},0,0.1,,{e}" for i, e in rows]
+        path = tmp_path / "energy.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return run(
+            capsys, "fit", "--kind", "exp-decay", "--phase", "prefill", "--y-field", "energy",
+            "--data", str(path),
+        )
+
+    def test_infinite_energy_exit_2(self, capsys, tmp_path):
+        rows = list(self.ENERGY_ROWS)
+        rows[1] = (32, "inf")
+        code, out, err = self.energy_fit(capsys, tmp_path, rows)
+        assert (code, out) == (2, "")
+        assert "line 3" in err
+
+    def test_overflowing_energy_exit_1_without_warning(self, capsys, tmp_path):
+        rows = list(self.ENERGY_ROWS)
+        rows[1] = (32, "1e308")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = self.energy_fit(capsys, tmp_path, rows)
+        assert (code, out) == (1, "")
+        assert "not finite" in err
+
+    def test_decay_on_one_input_length_exit_1(self, capsys, tmp_path):
+        code, out, err = self.energy_fit(capsys, tmp_path, [(64, 0.3), (64, 0.2), (64, 0.25), (64, 0.22)])
+        assert (code, out) == (1, "")
+        assert "distinct" in err
 
 
 class TestRegistryRoundTripViaCli(object):

@@ -1,7 +1,12 @@
+import io
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgeperf import fitting
 from edgeperf.errors import (
@@ -9,6 +14,7 @@ from edgeperf.errors import (
     InsufficientData,
     LengthMismatch,
     NoDecayDetectedWarning,
+    ParseError,
     ZeroActual,
 )
 from edgeperf.fitting import (
@@ -58,6 +64,43 @@ def decode_rows(m, n, pairs):
         )
         for i, o in pairs
     ]
+
+
+class TestFitTwo:
+    """The closed-form two-parameter fit against a generic least-squares solve."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-100.0, 100.0, allow_nan=False),
+                st.floats(-100.0, 100.0, allow_nan=False),
+            ),
+            min_size=2,
+            max_size=60,
+        )
+    )
+    def test_matches_lstsq(self, pairs):
+        u = np.array([p[0] for p in pairs])
+        y = np.array([p[1] for p in pairs])
+        assume(np.ptp(u) >= 1.0)  # keeps [u, 1] well conditioned
+        (want_p, want_q), *_ = np.linalg.lstsq(np.column_stack([u, np.ones_like(u)]), y, rcond=None)
+        want_sse = float(np.sum((want_p * u + want_q - y) ** 2))
+        p, q, sse = fitting._fit_two(u, y)
+        # 1e-9 relative, with a floor at the data's scale for values near zero.
+        scale = 1.0 + float(np.max(np.abs(y)))
+        assert p == pytest.approx(want_p, rel=1e-9, abs=1e-9 * scale)
+        assert q == pytest.approx(want_q, rel=1e-9, abs=1e-9 * scale)
+        assert sse == pytest.approx(want_sse, rel=1e-9, abs=1e-9 * scale**2 * len(y))
+        # One row of a stacked call is the same fit.
+        rows = fitting._fit_two(np.vstack([u, u[::-1]]), y)
+        assert [r[0] for r in rows] == pytest.approx([p, q, sse], rel=1e-12, abs=1e-12 * scale**2)
+
+    def test_constant_u_is_the_constant_fit(self):
+        y = np.array([1.0, 2.0, 4.0])
+        p, q, sse = fitting._fit_two(np.full(3, 7.0), y)
+        assert (p, q) == (0.0, pytest.approx(7.0 / 3.0))
+        assert sse == pytest.approx(np.sum((y - 7.0 / 3.0) ** 2))
 
 
 class TestFitPrefillLatency:
@@ -176,6 +219,48 @@ class TestFitExpDecay:
         with pytest.raises(InsufficientData):
             fit_exp_decay([(1, 1.0), (2, 0.5), (3, -0.1), (4, 0.2)])
 
+    @pytest.mark.parametrize("xs", [(64, 64, 64, 64), (64, 64, 128, 128, 128)])
+    def test_fewer_than_three_distinct_x(self, xs):
+        with pytest.raises(InsufficientData, match="3 distinct x"):
+            fit_exp_decay([(x, 0.2 + 0.01 * k) for k, x in enumerate(xs)])
+
+    def test_collapse_warning_points_at_the_caller(self):
+        with pytest.warns(NoDecayDetectedWarning) as record:
+            fit_exp_decay([(x, 3.0) for x in (1, 2, 4, 8, 16)])
+        assert record[0].filename == __file__
+
+
+def noisy_1p5b_prefill_energy():
+    """The shipped 1.5B prefill energy decay with 3% lognormal noise, seeded."""
+    rng = random.Random(20251)
+    xs = [16, 24, 32, 48, 64, 96, 128, 160, 192, 256, 320, 384, 512, 640, 768,
+          1024, 1536, 2048, 3072, 4096]
+    return [
+        (float(x), (0.07308 * math.exp(-0.03195 * x) + 0.000923) * math.exp(rng.gauss(0.0, 0.03)))
+        for x in xs
+    ]
+
+
+class TestGolden:
+    """Values recorded from the generic-solver fitters; rate and breakpoint must not move."""
+
+    def test_exp_decay(self):
+        result = fit_exp_decay(noisy_1p5b_prefill_energy())
+        c = result.coefficients
+        assert c.exp_lambda == 0.031857145275742904
+        assert c.exp_A == pytest.approx(0.07299381916368015, rel=1e-12)
+        assert c.exp_C == pytest.approx(0.0009276471419541755, rel=1e-12)
+        assert result.residual_sse == pytest.approx(8.557967041004964e-07, rel=1e-12)
+
+    def test_piecewise_energy(self):
+        result = fit_piecewise(noisy_1p5b_prefill_energy(), kind="energy")
+        model = result.coefficients
+        assert model.threshold == 192.0
+        assert model.exp_lambda == 0.031712445487089874
+        assert model.exp_A == pytest.approx(0.07291677610985434, rel=1e-12)
+        assert model.exp_C == pytest.approx(0.0008526525854607032, rel=1e-12)
+        assert result.residual_sse == pytest.approx(8.361663929424707e-07, rel=1e-12)
+
 
 class TestFitPiecewise:
     def test_power_break_recovered(self):
@@ -213,9 +298,92 @@ class TestFitPiecewise:
         with pytest.raises(InsufficientData):
             fit_piecewise([(x, 1.0) for x in range(5)], kind="power")
 
+    def test_equal_sse_prefers_the_smaller_breakpoint(self):
+        # The floor ends at x=4 and the log curve passes through 5.0 at x=5, so
+        # breakpoints 4 and 5 both fit exactly (SSE about 0).
+        alpha = 0.9
+        beta = 5.0 - alpha * math.log(5)
+        points = [(x, 5.0) for x in range(1, 5)] + [
+            (x, alpha * math.log(x) + beta) for x in range(5, 10)
+        ]
+        result = fit_piecewise(points, kind="power")
+        assert result.coefficients.threshold == 4
+        assert result.residual_sse < 1e-20
+
+    def test_log_branch_skips_nonpositive_x(self):
+        # Breakpoints -2 and -1 would put x <= 0 into the log branch.
+        points = [(x, 5.0) for x in (-3, -2, -1, 0)] + [(x, 0.9 * math.log(x) + 5.0) for x in (1, 2, 4, 8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_piecewise(points, kind="power").coefficients
+        assert model.threshold == 0
+        assert model.log_alpha == pytest.approx(0.9, rel=1e-9)
+
+    def test_energy_left_side_needs_three_distinct_x(self):
+        # Breakpoint 64 leaves four points on two distinct x; it is skipped,
+        # not fitted as an arbitrary decay.
+        points = [(16, 0.1), (16, 0.1), (16, 0.1), (64, 0.02)] + [
+            (x, 0.016 * math.log(x) - 0.05) for x in (256, 512, 1024, 2048)
+        ]
+        model = fit_piecewise(points, kind="energy").coefficients
+        assert model.threshold != 64
+
+
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             fit_piecewise([(x, 1.0) for x in range(1, 7)], kind="latency")
+
+
+class TestNonFinite:
+    """Non-finite measurements are refused at parse time; fitters never return nan or inf."""
+
+    HEADER = "phase,input_len,output_len,latency_s,power_w,energy_j\n"
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity"])
+    @pytest.mark.parametrize("column", [3, 4, 5])
+    def test_parse_error(self, cell, column):
+        row = ["prefill", "128", "0", "0.2", "5.0", "0.01"]
+        row[column] = cell
+        with pytest.raises(ParseError, match="line 2"):
+            load_measurements(io.StringIO(self.HEADER + ",".join(row) + "\n"))
+
+    def test_nan_y_raises_degenerate(self):
+        xs = [16, 32, 64, 128, 256, 512]
+        points = [(x, 0.07 * math.exp(-0.03 * x) + 0.001) for x in xs]
+        points[2] = (64, math.nan)
+        for fit in (fit_exp_decay, fit_log_curve, lambda p: fit_piecewise(p, kind="power")):
+            with pytest.raises(DegenerateDesign):
+                fit(points)
+
+    def test_overflow_raises_degenerate_without_warnings(self):
+        points = [(16, 0.05), (32, 1e308), (64, 0.01), (128, 0.005), (256, 0.002)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDesign):
+                fit_exp_decay(points)
+            with pytest.raises(DegenerateDesign):
+                fit_prefill_latency(prefill_rows(1e300, 1e300, 1e300, [128, 256, 512]))
+
+
+def test_every_fitter_returns_plain_floats():
+    rows = prefill_rows(1e-7, 2e-6, 0.05, [128, 256, 512])
+    rows += decode_rows(1e-6, 0.05, [(512, o) for o in (16, 64, 128)])
+    xs = [16, 32, 64, 128, 256, 384, 512, 1024, 2048, 4096]
+    energy = [(x, 0.29 * math.exp(-0.03 * x) + 0.009 if x <= 384 else 0.016 * math.log(x) - 0.07) for x in xs]
+    power = [(x, 5.6 if x <= 384 else 0.9 * math.log(x) + 0.1) for x in xs]
+    results = [
+        fit_prefill_latency(rows),
+        fit_decode_latency(rows),
+        fit_log_curve(energy[6:]),
+        fit_exp_decay(energy[:6]),
+        fit_piecewise(energy, kind="energy"),
+        fit_piecewise(power, kind="power"),
+    ]
+    for result in results:
+        values = [v for v in vars(result.coefficients).values() if isinstance(v, float)]
+        values.append(result.residual_sse)
+        assert {type(v) for v in values} == {float}, result
+        assert len(values) >= 3
 
 
 class TestMape:
