@@ -50,7 +50,6 @@ from .profiles import (
     Precision,
     ProfileRegistry,
     default_registry,
-    get_profile,
     load_measurements,
     load_profiles,
     serialize_profiles,

@@ -72,16 +72,8 @@ def _emit(result, args) -> None:
 
 
 def _point_dict(point: planner.ConfigPoint) -> dict:
-    return {
-        "model_id": point.model_id,
-        "technique": point.technique.value,
-        "token_budget": point.token_budget,
-        "accuracy": point.accuracy,
-        "avg_tokens": point.avg_tokens,
-        "latency": point.latency,
-        "cost": point.cost,
-        "scaling_factor": point.scaling_factor,
-    }
+    # vars() of a dataclass lists its fields in declaration order.
+    return {**vars(point), "technique": point.technique.value}
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +81,7 @@ def _point_dict(point: planner.ConfigPoint) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_list_models(args):
-    registry = _resolve_registry(args)
-    ids = registry.ids()
-    if args.json:
-        _emit(ids, args)
-    else:
-        _emit(list(ids), args)
+    _emit(_resolve_registry(args).ids(), args)
     return 0
 
 
@@ -189,12 +176,7 @@ def _curve_points(records, phase, y_field):
         if r.phase is not phase:
             continue
         x = r.input_len if phase is profiles.Phase.PREFILL else r.output_len
-        if y_field == "power":
-            y = r.power
-        elif y_field == "energy":
-            y = r.energy
-        else:
-            y = r.latency
+        y = getattr(r, y_field)  # --y-field choices are MeasurementRecord fields
         if y is not None:
             points.append((float(x), float(y)))
     return points

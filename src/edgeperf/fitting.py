@@ -38,6 +38,7 @@ from .profiles import (
     PiecewiseEnergyModel,
     PiecewisePowerModel,
     PrefillLatencyCoeffs,
+    to_json,
 )
 
 Coefficients = Union[
@@ -307,10 +308,16 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
             if best is None or sse < best[0] - 1e-15:
                 best = (sse, bp, params_l, {"log_alpha": alpha, "log_beta": beta})
 
-        # Single-branch alternative over the whole domain.
-        single_sse, single_params = left_fit(len(xs))
-    if best is None or single_sse <= best[0] + 1e-15:
-        best = (single_sse, float(xs[-1]), single_params, {})
+        # Single-branch alternative over the whole domain; it may not fit
+        # (a decay needs every y > 0) when a breakpoint does.
+        try:
+            single = left_fit(len(xs))
+        except InsufficientData:
+            if best is None:
+                raise
+            single = None
+    if single is not None and (best is None or single[0] <= best[0] + 1e-15):
+        best = (single[0], float(xs[-1]), single[1], {})
 
     sse, bp, params_l, params_r = best
     (sse,) = _finite(sse)
@@ -349,26 +356,19 @@ def mape(predictions: Sequence[float], actuals: Sequence[float]) -> float:
     )
 
 
+_SECTIONS = {
+    PrefillLatencyCoeffs: "prefill_latency",
+    DecodeLatencyCoeffs: "decode_latency",
+    PiecewisePowerModel: "power",
+    PiecewiseEnergyModel: "energy",
+    LogCurve: "log_curve",
+    ExpDecay: "exp_decay",
+}
+
+
 def coefficients_to_json(coefficients: Coefficients) -> dict:
     """Render fitted coefficients as a profile-file JSON fragment."""
-    from .profiles import _energy_json, _power_json  # shared field naming
-
-    if isinstance(coefficients, PrefillLatencyCoeffs):
-        return {"prefill_latency": {"a": coefficients.a, "b": coefficients.b, "c": coefficients.c}}
-    if isinstance(coefficients, DecodeLatencyCoeffs):
-        return {"decode_latency": {"m": coefficients.m, "n": coefficients.n}}
-    if isinstance(coefficients, PiecewisePowerModel):
-        return {"power": _power_json(coefficients)}
-    if isinstance(coefficients, PiecewiseEnergyModel):
-        return {"energy": _energy_json(coefficients)}
-    if isinstance(coefficients, LogCurve):
-        return {"log_curve": {"log_alpha": coefficients.log_alpha, "log_beta": coefficients.log_beta}}
-    if isinstance(coefficients, ExpDecay):
-        return {
-            "exp_decay": {
-                "exp_A": coefficients.exp_A,
-                "exp_lambda": coefficients.exp_lambda,
-                "exp_C": coefficients.exp_C,
-            }
-        }
-    raise TypeError(f"unsupported coefficient type {type(coefficients)!r}")
+    section = _SECTIONS.get(type(coefficients))
+    if section is None:
+        raise TypeError(f"unsupported coefficient type {type(coefficients)!r}")
+    return {section: to_json(coefficients)}

@@ -7,10 +7,9 @@ and summarizes prefill/decode phase ratios.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -20,12 +19,11 @@ from .errors import (
     DomainError,
     EmptyInput,
     InvariantViolation,
-    ParseError,
     ZeroDecodeWarning,
     ZeroPrefill,
 )
 from .latency import LatencyBudget
-from .profiles import MeasurementRecord, Phase, _read_text_csv
+from .profiles import MeasurementRecord, Phase, Source, read_rows
 
 
 class Technique(str, Enum):
@@ -42,17 +40,19 @@ class Technique(str, Enum):
 OBJECTIVES = ("accuracy", "latency", "cost")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ConfigPoint:
-    """One deployment configuration row from a result table."""
+    """One deployment configuration row; the fields are the config table's columns, in order."""
 
     model_id: str
     technique: Technique
-    accuracy: float  # percent in [0, 100]
-    avg_tokens: float  # decoded tokens per question
-    latency: Optional[float] = None  # seconds per question
-    cost: Optional[float] = None  # dollars per million tokens
     token_budget: Optional[int] = None
+    accuracy: float = field(metadata={"key": "accuracy_pct"})  # percent in [0, 100]
+    avg_tokens: float  # decoded tokens per question
+    # seconds per question
+    latency: Optional[float] = field(default=None, metadata={"key": "latency_s"})
+    # dollars per million tokens
+    cost: Optional[float] = field(default=None, metadata={"key": "cost_per_mtok"})
     scaling_factor: int = 1
 
     def __post_init__(self):
@@ -76,52 +76,12 @@ class PhaseRatios:
     latency_ratio: float
 
 
-CONFIG_HEADER = [
-    "model_id",
-    "technique",
-    "token_budget",
-    "accuracy_pct",
-    "avg_tokens",
-    "latency_s",
-    "cost_per_mtok",
-    "scaling_factor",
-]
+def load_config_table(source: Source) -> list[ConfigPoint]:
+    """Parse the configuration-table CSV, a path or an open text stream.
 
-
-def load_config_table(source) -> list[ConfigPoint]:
-    """Parse the configuration-table CSV; empty cells mean absent fields."""
-    text = _read_text_csv(source)
-    reader = csv.reader(text.splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty config table (header required)") from None
-    if [h.strip() for h in header] != CONFIG_HEADER:
-        raise ParseError(f"bad header {header!r}, expected {','.join(CONFIG_HEADER)}", line=1)
-    points = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) != len(CONFIG_HEADER):
-            raise ParseError(
-                f"expected {len(CONFIG_HEADER)} cells, got {len(row)}", line=lineno
-            )
-        try:
-            points.append(
-                ConfigPoint(
-                    model_id=row[0].strip(),
-                    technique=Technique(row[1].strip()),
-                    token_budget=int(row[2]) if row[2].strip() else None,
-                    accuracy=float(row[3]),
-                    avg_tokens=float(row[4]),
-                    latency=float(row[5]) if row[5].strip() else None,
-                    cost=float(row[6]) if row[6].strip() else None,
-                    scaling_factor=int(row[7]) if row[7].strip() else 1,
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    return points
+    Empty cells mean absent fields.
+    """
+    return [point for _, point in read_rows(source, ConfigPoint, "config table")]
 
 
 def _objective_values(point: ConfigPoint, objectives: Sequence[str]) -> Optional[tuple]:

@@ -3,19 +3,26 @@
 A profile bundles the fitted coefficient sets of one deployed model. Partial
 profiles are legal: operations that need an absent set raise
 :class:`~edgeperf.errors.MissingCoefficient` instead of guessing.
+
+Every record type is read and written by one schema driven by its dataclass
+fields and type hints: profile JSON, the measurement CSV, the planner's
+config-table CSV and the fitters' JSON output.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Callable, Iterator, NamedTuple, Optional, Union
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import DuplicateId, InvariantViolation, ParseError, UnknownModel
 
@@ -102,7 +109,8 @@ class PiecewisePowerModel:
     """
 
     floor_watts: float
-    threshold: float  # tokens; math.inf for constant-only models
+    # tokens; math.inf for constant-only models
+    threshold: float = field(metadata={"unbounded": True})
     log_alpha: Optional[float] = None  # watts per log(token)
     log_beta: Optional[float] = None  # watts
     log10: bool = False  # natural log unless explicitly refitted in log10
@@ -133,13 +141,14 @@ class PiecewiseEnergyModel:
     joules refuses models whose unit is merely "fitted".
     """
 
-    threshold: float  # tokens; 0 = log-only, math.inf = decay-only
+    # tokens; 0 = log-only, math.inf = decay-only
+    threshold: float = field(metadata={"unbounded": True})
+    unit: EnergyUnit = EnergyUnit.FITTED
     exp_A: Optional[float] = None
     exp_lambda: Optional[float] = None  # per token
     exp_C: Optional[float] = None
     log_alpha: Optional[float] = None
     log_beta: Optional[float] = None
-    unit: EnergyUnit = EnergyUnit.FITTED
     log10: bool = False
 
     def issues(self) -> list[Issue]:
@@ -163,16 +172,16 @@ class PiecewiseEnergyModel:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MeasurementRecord:
-    """One raw benchmark row."""
+    """One raw benchmark row; the fields are the measurement CSV's columns, in order."""
 
     phase: Phase
     input_len: int  # tokens
-    output_len: int  # tokens, 0 for prefill rows
-    latency: float  # seconds
-    power: Optional[float] = None  # watts
-    energy: Optional[float] = None  # joules
+    output_len: int = 0  # tokens, 0 for prefill rows
+    latency: float = field(metadata={"key": "latency_s"})  # seconds
+    power: Optional[float] = field(default=None, metadata={"key": "power_w"})  # watts
+    energy: Optional[float] = field(default=None, metadata={"key": "energy_j"})  # joules
 
     def issues(self) -> list[Issue]:
         out = []
@@ -194,7 +203,7 @@ class ModelProfile:
     """A named model and whichever coefficient sets are published for it."""
 
     id: str
-    param_count: float  # billions of parameters
+    param_count: float = field(metadata={"key": "param_b"})  # billions of parameters
     precision: Precision = Precision.FP16
     prefill_latency: Optional[PrefillLatencyCoeffs] = None
     decode_latency: Optional[DecodeLatencyCoeffs] = None
@@ -203,30 +212,23 @@ class ModelProfile:
     decode_power: Optional[PiecewisePowerModel] = None
     decode_energy: Optional[PiecewiseEnergyModel] = None
 
-    _COEFF_FIELDS = (
-        "prefill_latency",
-        "decode_latency",
-        "prefill_power",
-        "prefill_energy",
-        "decode_power",
-        "decode_energy",
-    )
-
     def issues(self) -> list[Issue]:
         out = []
         if not self.id:
             out.append(Issue("profile.id", "id must be non-empty"))
         if not self.param_count > 0:
             out.append(Issue("profile.param_count", "param_count must be > 0"))
-        for name in self._COEFF_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                out.extend(value.issues())
+        for name in self.capabilities():
+            out.extend(getattr(self, name).issues())
         return out
 
     def capabilities(self) -> list[str]:
         """Names of the coefficient sets this profile carries."""
-        return [n for n in self._COEFF_FIELDS if getattr(self, n) is not None]
+        return [
+            f.name
+            for f in _schema(ModelProfile)
+            if is_dataclass(f.kind) and getattr(self, f.name) is not None
+        ]
 
 
 class ProfileRegistry:
@@ -264,212 +266,212 @@ class ProfileRegistry:
         return dict(self._profiles) == dict(other._profiles)
 
 
-def get_profile(registry: ProfileRegistry, model_id: str) -> ModelProfile:
-    """Look up a profile by id; raises :class:`UnknownModel` when absent."""
-    return registry.get(model_id)
+# ---------------------------------------------------------------------------
+# Field-driven schema: one reader and one writer for every record type
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a field that must be given
+
+
+class _Field(NamedTuple):
+    name: str  # attribute name
+    key: str  # JSON key and CSV column
+    kind: type  # the annotated type; X for Optional[X]
+    default: object  # what a missing key or an empty cell means, or _REQUIRED
+    unbounded: bool  # may be +inf, spelled null or "inf" in JSON
+
+
+@functools.cache
+def _schema(cls) -> tuple[_Field, ...]:
+    """The fields of a record dataclass, in declaration order.
+
+    Field metadata may give the JSON key or CSV column (``key``) and let the
+    field be +inf (``unbounded``); a missing unbounded value means +inf.
+    """
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        if get_origin(kind) is Union:  # Optional[X]
+            (kind,) = (arg for arg in get_args(kind) if arg is not type(None))
+        unbounded = f.metadata.get("unbounded", False)
+        default = math.inf if unbounded else _REQUIRED if f.default is MISSING else f.default
+        out.append(_Field(f.name, f.metadata.get("key", f.name), kind, default, unbounded))
+    return tuple(out)
+
+
+def _source_text(source: Source) -> str:
+    """All the text of a path or of an open text stream."""
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, encoding="utf-8") as fh:
+                return fh.read()
+        return source.read()
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {source}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read {source}: {reason}") from None
+
+
+def _from_json(cls, obj, where: str):
+    """A ``cls`` record from a JSON object; ``where`` names it in errors."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} must be an object")
+    values = {}
+    for f in _schema(cls):
+        value = obj.get(f.key)
+        if value is None or (f.unbounded and value == "inf"):
+            if f.default is _REQUIRED:
+                raise ParseError(f"{where}.{f.key} is required")
+            values[f.name] = f.default
+        else:
+            values[f.name] = _json_value(f, value, where)
+    return cls(**values)
+
+
+def _json_value(f: _Field, value, where: str):
+    """A present JSON value as the type of field ``f``."""
+    kind = f.kind
+    if kind is float:
+        # A bool is no number, and an integer past the float range is not finite.
+        if type(value) in (int, float):
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.nan
+            if math.isfinite(value) or (f.unbounded and value == math.inf):
+                return value
+        raise ParseError(f"{where}.{f.key} must be a finite number")
+    if is_dataclass(kind):
+        return _from_json(kind, value, f"{where}.{f.key}")
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except (ValueError, TypeError):
+            raise ParseError(f"{where}.{f.key}: unknown value {value!r}") from None
+    if type(value) is not kind:  # a str or bool field takes only its own JSON type
+        expected = "true or false" if kind is bool else "a string"
+        raise ParseError(f"{where}.{f.key} must be {expected}")
+    return value
+
+
+def to_json(record) -> dict:
+    """A record as a JSON object, keys in field order.
+
+    None and False are left out, and an infinite unbounded value is null.
+    """
+    out = {}
+    for f in _schema(type(record)):
+        value = getattr(record, f.name)
+        if value is None or value is False:
+            continue
+        if f.unbounded and math.isinf(value):
+            value = None
+        elif isinstance(value, Enum):
+            value = value.value
+        elif is_dataclass(value):
+            value = to_json(value)
+        out[f.key] = value
+    return out
+
+
+def _finite_cell(cell: str) -> float:
+    """A CSV cell as a float; ValueError (a ParseError to the caller) unless finite."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
+@functools.cache
+def _cell_parser(kind) -> Callable[[str], object]:
+    """How a CSV cell becomes a ``kind``: a finite float, an int, a str or an Enum member."""
+    if kind is float:
+        return _finite_cell
+    if kind in (int, str):
+        return kind
+    members = {member.value: member for member in kind}  # a dict is faster than kind(cell)
+
+    def parse(cell):
+        try:
+            return members[cell]
+        except KeyError:
+            raise ValueError(f"{cell!r} is not a valid {kind.__name__}") from None
+
+    return parse
+
+
+def read_rows(source: Source, cls, what: str) -> Iterator[tuple[int, object]]:
+    """(line number, record) for each non-blank row of a CSV table of ``cls``.
+
+    The header names the fields' columns in field order. Each cell is
+    stripped and parsed by its field's type; an empty cell means the field's
+    default. ``what`` names the table in errors.
+    """
+    schema = _schema(cls)
+    header = [f.key for f in schema]
+    reader = csv.reader(_source_text(source).splitlines())
+    first = next(reader, None)
+    if first is None:
+        raise ParseError(f"empty {what} (header required)")
+    if [h.strip() for h in first] != header:
+        raise ParseError(f"bad header {first!r}, expected {','.join(header)}", line=1)
+    # A field without a default parses even an empty cell.
+    columns = [(f.name, _cell_parser(f.kind), f.default is _REQUIRED) for f in schema]
+    for lineno, row in enumerate(reader, start=2):
+        cells = list(map(str.strip, row))
+        if not any(cells):
+            continue
+        if len(cells) != len(columns):
+            raise ParseError(f"expected {len(columns)} cells, got {len(cells)}", line=lineno)
+        values = {}
+        try:
+            for (name, parse, required), cell in zip(columns, cells):
+                if cell or required:
+                    values[name] = parse(cell)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        yield lineno, cls(**values)
 
 
 # ---------------------------------------------------------------------------
 # Profile file (JSON) ingestion and serialization
 # ---------------------------------------------------------------------------
 
-def _read_text(source: Source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    # A plain string that looks like a document is treated as document text.
-    if isinstance(source, str) and (
-        source.lstrip().startswith(("{", "[")) or source.strip() == ""
-    ):
-        return source
-    path = Path(source)
-    if path.exists():
-        return path.read_text(encoding="utf-8")
-    raise ParseError(f"no such file: {source}")
-
-
-def _require_number(obj: dict, key: str, where: str) -> float:
-    if key not in obj:
-        raise ParseError(f"{where}: missing required key {key!r}")
-    value = obj[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"{where}: key {key!r} must be a number")
-    return float(value)
-
-
-def _optional_number(obj: dict, key: str) -> Optional[float]:
-    value = obj.get(key)
-    if value is None:
-        return None
-    return float(value)
-
-
-def _parse_threshold(obj: dict, where: str) -> float:
-    # null or "inf" both mean an unbounded first branch.
-    value = obj.get("threshold")
-    if value is None or value == "inf":
-        return math.inf
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"{where}: threshold must be a number, null, or \"inf\"")
-    return float(value)
-
-
-def _parse_power(obj: dict, where: str) -> PiecewisePowerModel:
-    return PiecewisePowerModel(
-        floor_watts=_require_number(obj, "floor_watts", where),
-        threshold=_parse_threshold(obj, where),
-        log_alpha=_optional_number(obj, "log_alpha"),
-        log_beta=_optional_number(obj, "log_beta"),
-        log10=bool(obj.get("log10", False)),
-    )
-
-
-def _parse_energy(obj: dict, where: str) -> PiecewiseEnergyModel:
-    unit = obj.get("unit", EnergyUnit.FITTED.value)
-    try:
-        unit = EnergyUnit(unit)
-    except ValueError:
-        raise ParseError(f"{where}: unknown energy unit {unit!r}") from None
-    return PiecewiseEnergyModel(
-        threshold=_parse_threshold(obj, where),
-        exp_A=_optional_number(obj, "exp_A"),
-        exp_lambda=_optional_number(obj, "exp_lambda"),
-        exp_C=_optional_number(obj, "exp_C"),
-        log_alpha=_optional_number(obj, "log_alpha"),
-        log_beta=_optional_number(obj, "log_beta"),
-        unit=unit,
-        log10=bool(obj.get("log10", False)),
-    )
-
-
-def _parse_profile(obj: dict) -> ModelProfile:
-    if not isinstance(obj, dict):
-        raise ParseError("each profile entry must be an object")
-    model_id = obj.get("id")
-    if not isinstance(model_id, str) or not model_id:
-        raise ParseError("profile entry: 'id' must be a non-empty string")
-    where = f"profile {model_id!r}"
-    try:
-        precision = Precision(obj.get("precision", Precision.FP16.value))
-    except ValueError:
-        raise ParseError(f"{where}: unknown precision {obj.get('precision')!r}") from None
-
-    def section(key):
-        sec = obj.get(key)
-        if sec is None:
-            return None
-        if not isinstance(sec, dict):
-            raise ParseError(f"{where}: section {key!r} must be an object")
-        return sec
-
-    pl = section("prefill_latency")
-    dl = section("decode_latency")
-    profile = ModelProfile(
-        id=model_id,
-        param_count=_require_number(obj, "param_b", where),
-        precision=precision,
-        prefill_latency=None
-        if pl is None
-        else PrefillLatencyCoeffs(
-            a=_require_number(pl, "a", where),
-            b=_require_number(pl, "b", where),
-            c=_require_number(pl, "c", where),
-        ),
-        decode_latency=None
-        if dl is None
-        else DecodeLatencyCoeffs(
-            m=_require_number(dl, "m", where),
-            n=_require_number(dl, "n", where),
-        ),
-        prefill_power=None
-        if section("prefill_power") is None
-        else _parse_power(section("prefill_power"), where),
-        prefill_energy=None
-        if section("prefill_energy") is None
-        else _parse_energy(section("prefill_energy"), where),
-        decode_power=None
-        if section("decode_power") is None
-        else _parse_power(section("decode_power"), where),
-        decode_energy=None
-        if section("decode_energy") is None
-        else _parse_energy(section("decode_energy"), where),
-    )
-    bad = profile.issues()
-    if bad:
-        raise InvariantViolation(bad[0].field, bad[0].rule)
-    return profile
-
-
 def load_profiles(source: Source) -> ProfileRegistry:
     """Parse a profile file into a registry, enforcing all invariants.
 
-    Raises :class:`ParseError` on malformed syntax, :class:`DuplicateId` on a
-    repeated id, and :class:`InvariantViolation` when a coefficient value
-    breaks its type's rules.
+    ``source`` is a path or an open text stream. Raises :class:`ParseError`
+    on malformed syntax or a value of the wrong type (numbers must be finite;
+    only a threshold may be unbounded), :class:`DuplicateId` on a repeated
+    id, and :class:`InvariantViolation` when a coefficient value breaks its
+    type's rules.
     """
-    text = _read_text(source)
+    text = _source_text(source)
     if text.strip() == "":
         return ProfileRegistry([])
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("profiles"), list):
         raise ParseError("profile file must be an object with a 'profiles' array")
-    return ProfileRegistry([_parse_profile(entry) for entry in doc["profiles"]])
-
-
-def _threshold_json(value: float):
-    return None if math.isinf(value) else value
-
-
-def _power_json(model: PiecewisePowerModel) -> dict:
-    out = {"floor_watts": model.floor_watts, "threshold": _threshold_json(model.threshold)}
-    if model.log_alpha is not None:
-        out["log_alpha"] = model.log_alpha
-    if model.log_beta is not None:
-        out["log_beta"] = model.log_beta
-    if model.log10:
-        out["log10"] = True
-    return out
-
-
-def _energy_json(model: PiecewiseEnergyModel) -> dict:
-    out = {"threshold": _threshold_json(model.threshold), "unit": model.unit.value}
-    for key in ("exp_A", "exp_lambda", "exp_C", "log_alpha", "log_beta"):
-        value = getattr(model, key)
-        if value is not None:
-            out[key] = value
-    if model.log10:
-        out["log10"] = True
-    return out
-
-
-def profile_to_json(profile: ModelProfile) -> dict:
-    out: dict = {
-        "id": profile.id,
-        "param_b": profile.param_count,
-        "precision": profile.precision.value,
-    }
-    if profile.prefill_latency is not None:
-        c = profile.prefill_latency
-        out["prefill_latency"] = {"a": c.a, "b": c.b, "c": c.c}
-    if profile.decode_latency is not None:
-        c = profile.decode_latency
-        out["decode_latency"] = {"m": c.m, "n": c.n}
-    if profile.prefill_power is not None:
-        out["prefill_power"] = _power_json(profile.prefill_power)
-    if profile.prefill_energy is not None:
-        out["prefill_energy"] = _energy_json(profile.prefill_energy)
-    if profile.decode_power is not None:
-        out["decode_power"] = _power_json(profile.decode_power)
-    if profile.decode_energy is not None:
-        out["decode_energy"] = _energy_json(profile.decode_energy)
-    return out
+    loaded = []
+    for i, entry in enumerate(doc["profiles"]):
+        profile = _from_json(ModelProfile, entry, f"profiles[{i}]")
+        bad = profile.issues()
+        if bad:
+            raise InvariantViolation(bad[0].field, bad[0].rule)
+        loaded.append(profile)
+    return ProfileRegistry(loaded)
 
 
 def serialize_profiles(registry: ProfileRegistry) -> str:
     """Serialize a registry back to profile-file JSON (round-trip stable)."""
-    doc = {"profiles": [profile_to_json(registry.get(i)) for i in registry.ids()]}
+    doc = {"profiles": [to_json(registry.get(i)) for i in registry.ids()]}
     return json.dumps(doc, indent=2)
 
 
@@ -522,62 +524,15 @@ def validate_profile(profile: ModelProfile) -> list[Issue]:
 # Measurement file (CSV) ingestion
 # ---------------------------------------------------------------------------
 
-MEASUREMENT_HEADER = ["phase", "input_len", "output_len", "latency_s", "power_w", "energy_j"]
-
-
 def load_measurements(source: Source) -> list[MeasurementRecord]:
-    """Parse the measurement CSV schema into validated records."""
-    text = _read_text_csv(source)
-    reader = csv.reader(text.splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty measurement file (header required)") from None
-    if [h.strip() for h in header] != MEASUREMENT_HEADER:
-        raise ParseError(
-            f"bad header {header!r}, expected {','.join(MEASUREMENT_HEADER)}", line=1
-        )
+    """Parse the measurement CSV, a path or an open text stream, into validated records."""
     records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) != len(MEASUREMENT_HEADER):
-            raise ParseError(f"expected {len(MEASUREMENT_HEADER)} cells, got {len(row)}", line=lineno)
-        try:
-            record = MeasurementRecord(
-                phase=Phase(row[0].strip()),
-                input_len=int(row[1]),
-                output_len=int(row[2]) if row[2].strip() else 0,
-                latency=_finite_cell(row[3]),
-                power=_finite_cell(row[4]) if row[4].strip() else None,
-                energy=_finite_cell(row[5]) if row[5].strip() else None,
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+    for lineno, record in read_rows(source, MeasurementRecord, "measurement file"):
         bad = record.issues()
         if bad:
             raise InvariantViolation(bad[0].field, f"{bad[0].rule} (line {lineno})")
         records.append(record)
     return records
-
-
-def _finite_cell(cell: str) -> float:
-    """A measurement cell as a float; ValueError (a ParseError to the caller) unless finite."""
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {cell.strip()!r}")
-    return value
-
-
-def _read_text_csv(source: Source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    if isinstance(source, str) and ("\n" in source or "," in source):
-        return source
-    path = Path(source)
-    if path.exists():
-        return path.read_text(encoding="utf-8")
-    raise ParseError(f"no such file: {source}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from edgeperf import default_registry
+from edgeperf import cli, default_registry
 
 
 @pytest.fixture(autouse=True)
@@ -27,3 +27,16 @@ def p8(registry):
 @pytest.fixture(scope="session")
 def p14(registry):
     return registry.get("dsr1-qwen-14b")
+
+
+@pytest.fixture
+def cli_refuses(capsys):
+    """Check that one CLI call exits 2 with a single error line and no output."""
+
+    def check(*argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), captured
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+    return check

@@ -171,6 +171,14 @@ class TestValidate:
         assert code == 0
         assert out == "prefill_mape=0.00\n"
 
+    def test_path_with_commas(self, capsys, tmp_path):
+        path = tmp_path / "d,with,comma" / "m.csv"
+        path.parent.mkdir()
+        path.write_text("phase,input_len,output_len,latency_s,power_w,energy_j\nprefill,128,0,0.2,,\n")
+        code, out, err = run(capsys, "validate", "--model", "dsr1-qwen-14b", "--data", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("prefill_mape=")
+
     def test_max_mape_gate(self, capsys):
         code, out, err = run(
             capsys,

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import random
 import warnings
@@ -30,10 +31,13 @@ from edgeperf.fitting import (
 )
 from edgeperf.latency import padded_length
 from edgeperf.profiles import (
+    DecodeLatencyCoeffs,
+    EnergyUnit,
     MeasurementRecord,
     Phase,
     PiecewiseEnergyModel,
     PiecewisePowerModel,
+    PrefillLatencyCoeffs,
     load_measurements,
 )
 from edgeperf.profiles import builtin_profiles_path
@@ -294,6 +298,24 @@ class TestFitPiecewise:
         assert model.log_alpha == pytest.approx(0.016, rel=1e-6)
         assert model.exp_lambda == pytest.approx(0.03, rel=1e-3)
 
+    def test_energy_log_branch_below_zero(self):
+        # The log side goes negative past x=384 (-0.0102 at 512), so only the
+        # single decay branch cannot fit; breakpoint 384 still does.
+        xs = [16, 32, 64, 128, 256, 384, 512, 1024, 2048, 4096]
+        points = [
+            (x, 0.29 * math.exp(-0.03 * x) + 0.009 if x <= 384 else 0.016 * math.log(x) - 0.11)
+            for x in xs
+        ]
+        model = fit_piecewise(points, kind="energy").coefficients
+        assert model.threshold == 384
+        assert model.log_beta == pytest.approx(-0.11, rel=1e-6)
+        assert model.exp_lambda == pytest.approx(0.03, rel=1e-3)
+
+    def test_energy_nothing_fits(self):
+        points = [(x, -0.01) for x in (16, 32, 64, 128, 256, 512, 1024)]
+        with pytest.raises(InsufficientData, match="positive"):
+            fit_piecewise(points, kind="energy")
+
     def test_too_few_points(self):
         with pytest.raises(InsufficientData):
             fit_piecewise([(x, 1.0) for x in range(5)], kind="power")
@@ -427,3 +449,48 @@ class TestCoefficientsToJson:
     def test_unknown_type(self):
         with pytest.raises(TypeError):
             coefficients_to_json(object())
+
+    @pytest.mark.parametrize(
+        "coefficients, section, keys",
+        [
+            (PrefillLatencyCoeffs(a=1.0, b=2.0, c=3.0), "prefill_latency", "a b c"),
+            (DecodeLatencyCoeffs(m=1.0, n=2.0), "decode_latency", "m n"),
+            (
+                PiecewisePowerModel(
+                    floor_watts=5.0, threshold=64.0, log_alpha=1.0, log_beta=2.0, log10=True
+                ),
+                "power",
+                "floor_watts threshold log_alpha log_beta log10",
+            ),
+            (
+                PiecewiseEnergyModel(
+                    threshold=64.0,
+                    exp_A=1.0,
+                    exp_lambda=0.1,
+                    exp_C=0.01,
+                    log_alpha=1.0,
+                    log_beta=2.0,
+                    unit=EnergyUnit.JOULES_PER_TOKEN,
+                    log10=True,
+                ),
+                "energy",
+                "threshold unit exp_A exp_lambda exp_C log_alpha log_beta log10",
+            ),
+            (LogCurve(log_alpha=1.0, log_beta=2.0), "log_curve", "log_alpha log_beta"),
+            (ExpDecay(exp_A=1.0, exp_lambda=2.0, exp_C=3.0), "exp_decay", "exp_A exp_lambda exp_C"),
+        ],
+    )
+    def test_key_order(self, coefficients, section, keys):
+        # Pinned before the field-driven schema replaced the hand-written writers.
+        frag = coefficients_to_json(coefficients)
+        assert list(frag) == [section]
+        assert list(frag[section]) == keys.split()
+
+    def test_infinite_threshold_is_null_and_defaults_are_left_out(self):
+        frag = coefficients_to_json(PiecewisePowerModel(floor_watts=5.0, threshold=math.inf))
+        assert json.dumps(frag) == '{"power": {"floor_watts": 5.0, "threshold": null}}'
+        frag = coefficients_to_json(
+            PiecewiseEnergyModel(threshold=math.inf, exp_A=1.0, exp_lambda=0.1, exp_C=0.01)
+        )
+        assert list(frag["energy"]) == ["threshold", "unit", "exp_A", "exp_lambda", "exp_C"]
+        assert frag["energy"]["unit"] == "fitted"

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -63,24 +64,35 @@ class TestLoadConfigTable:
         assert row.cost is None
 
     def test_header_only(self):
-        assert load_config_table(HEADER) == []
+        assert load_config_table(io.StringIO(HEADER)) == []
 
     def test_accuracy_out_of_range(self):
         with pytest.raises(InvariantViolation):
-            load_config_table(HEADER + "m,base,,120,100,1.0,0.1,1\n")
+            load_config_table(io.StringIO(HEADER + "m,base,,120,100,1.0,0.1,1\n"))
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
-            load_config_table("model,acc\nx,1\n")
+            load_config_table(io.StringIO("model,acc\nx,1\n"))
 
     def test_bad_cell_reports_row(self):
         with pytest.raises(ParseError) as err:
-            load_config_table(HEADER + "m,base,,fast,100,1.0,0.1,1\n")
+            load_config_table(io.StringIO(HEADER + "m,base,,fast,100,1.0,0.1,1\n"))
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "row",
+        ["m,base,,50,100,1.0,nan,1", "m,base,,50,100,inf,0.1,1", "m,base,,50,inf,1.0,0.1,1"],
+    )
+    def test_non_finite_cell(self, row, tmp_path, cli_refuses):
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            load_config_table(io.StringIO(HEADER + row + "\n"))
+        path = tmp_path / "table.csv"
+        path.write_text(HEADER + row + "\n")
+        cli_refuses("plan", "--max-cost", "1", "--table", str(path))
 
     def test_unknown_technique(self):
         with pytest.raises(ParseError):
-            load_config_table(HEADER + "m,warp,,50,100,1.0,0.1,1\n")
+            load_config_table(io.StringIO(HEADER + "m,warp,,50,100,1.0,0.1,1\n"))
 
 
 class TestParetoFrontier:

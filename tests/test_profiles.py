@@ -1,21 +1,29 @@
+import hashlib
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeperf import profiles
 from edgeperf.errors import (
     DuplicateId,
+    EdgeperfError,
     InvariantViolation,
     ParseError,
     UnknownModel,
 )
+from edgeperf.planner import load_config_table
 from edgeperf.profiles import (
     DecodeLatencyCoeffs,
+    EnergyUnit,
     MeasurementRecord,
     ModelProfile,
     Phase,
+    PiecewiseEnergyModel,
+    PiecewisePowerModel,
     Precision,
     PrefillLatencyCoeffs,
     ProfileRegistry,
@@ -34,6 +42,37 @@ def minimal_profile_json(model_id="toy"):
         "prefill_latency": {"a": 1.56e-7, "b": 2.31e-6, "c": 0.046},
         "decode_latency": {"m": -1.50e-7, "n": 0.024},
     }
+
+
+def full_profile_json(model_id="toy"):
+    entry = minimal_profile_json(model_id)
+    entry["prefill_power"] = {"floor_watts": 5.0, "threshold": 256, "log_alpha": 0.9, "log_beta": 0.6}
+    entry["prefill_energy"] = {
+        "threshold": 384,
+        "exp_A": 0.29,
+        "exp_lambda": 0.03,
+        "exp_C": 0.009,
+        "log_alpha": 0.016,
+        "log_beta": -0.07,
+    }
+    return entry
+
+
+# Every key of full_profile_json(), plus the ones it leaves at their defaults.
+SETTABLE_KEYS = [(None, "param_b"), (None, "precision"), ("prefill_power", "log10")] + [
+    (section, key)
+    for section, body in full_profile_json().items()
+    if isinstance(body, dict)
+    for key in body
+] + [("prefill_energy", "unit"), ("prefill_energy", "log10")]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner, max_size=5),
+    max_leaves=20,
+)
+
+MEASUREMENT_HEADER = "phase,input_len,output_len,latency_s,power_w,energy_j\n"
 
 
 class TestLoadProfiles:
@@ -62,36 +101,96 @@ class TestLoadProfiles:
     def test_duplicate_id_rejected(self):
         doc = {"profiles": [minimal_profile_json("x"), minimal_profile_json("x")]}
         with pytest.raises(DuplicateId):
-            load_profiles(json.dumps(doc))
+            load_profiles(io.StringIO(json.dumps(doc)))
 
     def test_malformed_json(self):
         with pytest.raises(ParseError):
-            load_profiles("{not json")
+            load_profiles(io.StringIO("{not json"))
+
+    def test_deeply_nested_json(self, tmp_path, cli_refuses):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_profiles(path)
+        cli_refuses("list-models", "--profiles", str(path))
 
     def test_missing_profiles_key(self):
         with pytest.raises(ParseError):
-            load_profiles(json.dumps({"models": []}))
+            load_profiles(io.StringIO(json.dumps({"models": []})))
 
     def test_invariant_violation_on_bad_coefficient(self):
         entry = minimal_profile_json()
         entry["prefill_latency"]["a"] = 0.0
         with pytest.raises(InvariantViolation):
-            load_profiles(json.dumps({"profiles": [entry]}))
+            load_profiles(io.StringIO(json.dumps({"profiles": [entry]})))
 
     def test_threshold_spellings(self):
         entry = minimal_profile_json()
         entry["prefill_power"] = {"floor_watts": 5.0, "threshold": None}
-        reg = load_profiles(json.dumps({"profiles": [entry]}))
+        reg = load_profiles(io.StringIO(json.dumps({"profiles": [entry]})))
         assert math.isinf(reg.get("toy").prefill_power.threshold)
         entry["prefill_power"] = {"floor_watts": 5.0, "threshold": "inf"}
-        reg = load_profiles(json.dumps({"profiles": [entry]}))
+        reg = load_profiles(io.StringIO(json.dumps({"profiles": [entry]})))
         assert math.isinf(reg.get("toy").prefill_power.threshold)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("prefill_power", "log_alpha", "abc"),
+            ("prefill_power", "log10", "false"),
+            ("prefill_latency", "b", math.nan),
+            ("decode_latency", "m", math.inf),
+            ("prefill_power", "floor_watts", math.inf),
+            ("prefill_energy", "exp_C", -math.inf),
+            ("prefill_power", "threshold", math.nan),
+            ("prefill_energy", "exp_A", [1]),
+            ("prefill_energy", "exp_A", True),
+            pytest.param(None, "param_b", 10**400, id="param_b-huge-int"),
+        ],
+    )
+    def test_bad_value_refused(self, section, key, value, tmp_path, cli_refuses):
+        # json.dumps writes NaN and Infinity, which json.loads accepts.
+        entry = full_profile_json()
+        (entry[section] if section else entry)[key] = value
+        text = json.dumps({"profiles": [entry]})
+        with pytest.raises(ParseError):
+            load_profiles(io.StringIO(text))
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        cli_refuses("predict", "--profiles", str(path), "--model", "toy", "--input", "512", "--output", "128")
+
+    @settings(max_examples=100, deadline=None)
+    @given(place=st.sampled_from(SETTABLE_KEYS), value=JSON_VALUES)
+    def test_any_json_value_loads_finite_or_raises(self, place, value):
+        section, key = place
+        entry = full_profile_json()
+        (entry[section] if section else entry)[key] = value
+        try:
+            registry = load_profiles(io.StringIO(json.dumps({"profiles": [entry]})))
+        except EdgeperfError:
+            return
+        profile = registry.get("toy")
+        for record in [profile] + [getattr(profile, name) for name in profile.capabilities()]:
+            for name, got in vars(record).items():
+                if isinstance(got, float):
+                    assert math.isfinite(got) or (name == "threshold" and got == math.inf)
+                assert name != "log10" or type(got) is bool
+
+    def test_strict_values_load(self):
+        entry = full_profile_json()
+        entry["prefill_power"]["log10"] = True
+        entry["prefill_energy"]["threshold"] = "inf"
+        entry["prefill_energy"]["unit"] = "joules_per_token"
+        profile = load_profiles(io.StringIO(json.dumps({"profiles": [entry]}))).get("toy")
+        assert profile.prefill_power.log10 is True
+        assert profile.prefill_energy.threshold == math.inf
+        assert profile.prefill_energy.unit is EnergyUnit.JOULES_PER_TOKEN
 
     def test_unknown_precision_rejected(self):
         entry = minimal_profile_json()
         entry["precision"] = "int3"
         with pytest.raises(ParseError):
-            load_profiles(json.dumps({"profiles": [entry]}))
+            load_profiles(io.StringIO(json.dumps({"profiles": [entry]})))
 
 
 class TestRegistry:
@@ -114,10 +213,34 @@ class TestRegistry:
             ProfileRegistry([profile, profile])
 
 
+POSITIVE = st.floats(min_value=1e-12, max_value=1e6)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+THRESHOLD = st.just(math.inf) | st.floats(min_value=0.0, max_value=1e6)
+POWER = st.builds(
+    PiecewisePowerModel,
+    floor_watts=POSITIVE,
+    threshold=THRESHOLD,
+    log_alpha=FINITE,
+    log_beta=FINITE,
+    log10=st.booleans(),
+)
+ENERGY = st.builds(
+    PiecewiseEnergyModel,
+    threshold=THRESHOLD,
+    unit=st.sampled_from(EnergyUnit),
+    exp_A=FINITE,
+    exp_lambda=POSITIVE,
+    exp_C=POSITIVE,
+    log_alpha=FINITE,
+    log_beta=FINITE,
+    log10=st.booleans(),
+)
+
+
 class TestSerialization:
     def test_round_trip_stability(self, registry):
         text = serialize_profiles(registry)
-        reloaded = load_profiles(text)
+        reloaded = load_profiles(io.StringIO(text))
         assert reloaded == registry
         assert serialize_profiles(reloaded) == text
 
@@ -126,7 +249,34 @@ class TestSerialization:
         assert w4.prefill_latency is None
         assert w4.precision is Precision.W4A16
         text = serialize_profiles(registry)
-        assert load_profiles(text).get("dsr1-llama-8b-w4").prefill_latency is None
+        assert load_profiles(io.StringIO(text)).get("dsr1-llama-8b-w4").prefill_latency is None
+
+    def test_builtin_serialization_bytes(self, registry):
+        # Pinned before the field-driven schema replaced the hand-written writers.
+        text = serialize_profiles(registry)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a7930ae51611fbed4ebc4970cfdca09de413f5d3281016c5563ee8401b9ce606"
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile=st.builds(
+        ModelProfile,
+        id=st.text(min_size=1, max_size=20),
+        param_count=POSITIVE,
+        precision=st.sampled_from(Precision),
+        prefill_latency=st.none() | st.builds(PrefillLatencyCoeffs, a=POSITIVE, b=FINITE, c=POSITIVE),
+        decode_latency=st.none() | st.builds(DecodeLatencyCoeffs, m=POSITIVE, n=POSITIVE),
+        prefill_power=st.none() | POWER,
+        prefill_energy=st.none() | ENERGY,
+        decode_power=st.none() | POWER,
+        decode_energy=st.none() | ENERGY,
+    ))
+    def test_generated_round_trip(self, profile):
+        registry = ProfileRegistry([profile])
+        text = serialize_profiles(registry)
+        reloaded = load_profiles(io.StringIO(text))
+        assert reloaded == registry
+        assert serialize_profiles(reloaded) == text
 
     def test_capabilities(self, registry):
         assert "prefill_power" not in registry.get("dsr1-llama-8b").capabilities()
@@ -180,21 +330,31 @@ class TestLoadMeasurements:
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
-            load_measurements("phase,input_len\nprefill,128\n")
+            load_measurements(io.StringIO("phase,input_len\nprefill,128\n"))
 
     def test_bad_value_reports_line(self):
         text = "phase,input_len,output_len,latency_s,power_w,energy_j\nprefill,abc,0,1.0,,\n"
         with pytest.raises(ParseError) as err:
-            load_measurements(text)
+            load_measurements(io.StringIO(text))
         assert err.value.line == 2
 
     def test_invariant_violation_on_zero_latency(self):
         text = "phase,input_len,output_len,latency_s,power_w,energy_j\nprefill,128,0,0.0,,\n"
         with pytest.raises(InvariantViolation):
-            load_measurements(text)
+            load_measurements(io.StringIO(text))
 
     def test_header_only_is_empty(self):
-        assert load_measurements("phase,input_len,output_len,latency_s,power_w,energy_j\n") == []
+        assert (
+            load_measurements(io.StringIO("phase,input_len,output_len,latency_s,power_w,energy_j\n"))
+            == []
+        )
+
+    def test_path_with_commas(self, tmp_path):
+        path = tmp_path / "d,with,comma" / "m.csv"
+        path.parent.mkdir()
+        path.write_text(MEASUREMENT_HEADER + "prefill,128,0,0.2,,\n")
+        for source in (path, str(path)):
+            assert [r.latency for r in load_measurements(source)] == [0.2]
 
     def test_record_issues(self):
         record = MeasurementRecord(
@@ -206,3 +366,20 @@ class TestLoadMeasurements:
             "measurement.output_len",
             "measurement.latency",
         }
+
+
+@pytest.mark.parametrize(
+    "loader, flags",
+    [
+        (load_profiles, ["list-models", "--profiles"]),
+        (load_measurements, ["validate", "--model", "dsr1-qwen-14b", "--data"]),
+        (load_config_table, ["plan", "--max-cost", "1", "--table"]),
+    ],
+)
+def test_unreadable_source(loader, flags, tmp_path, cli_refuses):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("caf\u00e9\n".encode("latin-1"))
+    for source in (tmp_path, latin1):
+        with pytest.raises(ParseError, match="cannot read"):
+            loader(source)
+        cli_refuses(*flags, str(source))
