@@ -1,6 +1,8 @@
 """edgeperf: performance modeling and deployment planning for reasoning-LLM
 inference on edge GPUs."""
 
+import importlib
+
 from .energy import (
     CostBreakdown,
     CostParams,
@@ -11,15 +13,6 @@ from .energy import (
     prefill_energy_per_token,
     prefill_power,
     total_energy,
-)
-from .fitting import (
-    FitResult,
-    fit_decode_latency,
-    fit_exp_decay,
-    fit_log_curve,
-    fit_piecewise,
-    fit_prefill_latency,
-    mape,
 )
 from .latency import (
     LatencyBreakdown,
@@ -57,3 +50,24 @@ from .profiles import (
 )
 
 __version__ = "0.1.0"
+
+# fitting imports numpy, which costs more than the rest of the package, so it
+# is imported on the first use of one of its names (PEP 562), not here.
+_FITTING_NAMES = frozenset(
+    {
+        "FitResult",
+        "fit_decode_latency",
+        "fit_exp_decay",
+        "fit_log_curve",
+        "fit_piecewise",
+        "fit_prefill_latency",
+        "mape",
+    }
+)
+
+
+def __getattr__(name):
+    if name == "fitting" or name in _FITTING_NAMES:
+        fitting = importlib.import_module(".fitting", __name__)
+        return fitting if name == "fitting" else getattr(fitting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

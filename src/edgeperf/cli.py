@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Optional
 
-from . import energy, fitting, latency, planner, profiles
+from . import energy, latency, planner, profiles
 from .errors import (
     DuplicateId,
     EdgeperfError,
@@ -24,11 +24,16 @@ from .errors import (
 
 PROFILES_ENV_VAR = "EDGEPERF_PROFILES"
 
-_USAGE_ERRORS = (UnknownModel, ParseError, DuplicateId, InvariantViolation)
-
 
 class _DomainFailure(EdgeperfError):
     """Internal: a handler produced no result (exit 1)."""
+
+
+class _OutputFailure(EdgeperfError):
+    """Internal: the result could not be written to ``--out`` (exit 2)."""
+
+
+_USAGE_ERRORS = (UnknownModel, ParseError, DuplicateId, InvariantViolation, _OutputFailure)
 
 
 def _resolve_registry(args) -> profiles.ProfileRegistry:
@@ -64,11 +69,14 @@ def _render(result, as_json: bool) -> str:
 
 def _emit(result, args) -> None:
     text = _render(result, args.json)
-    if args.out:
+    if not args.out:
+        print(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise _OutputFailure(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
 def _point_dict(point: planner.ConfigPoint) -> dict:
@@ -136,6 +144,8 @@ def _cmd_vote(args):
 
 
 def _cmd_validate(args):
+    from . import fitting  # imports numpy, which the other subcommands never need
+
     registry = _resolve_registry(args)
     profile = registry.get(args.model)
     records = profiles.load_measurements(args.data)
@@ -183,6 +193,8 @@ def _curve_points(records, phase, y_field):
 
 
 def _cmd_fit(args):
+    from . import fitting
+
     records = profiles.load_measurements(args.data)
     if args.kind == "prefill-latency":
         result = fitting.fit_prefill_latency(records)

@@ -6,8 +6,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DomainError,
     ImplausibleWattsWarning,
@@ -157,6 +155,8 @@ def decode_energy(profile: ModelProfile, input_len: int, output_len: int) -> flo
     coeffs = profile.decode_latency
     if coeffs is None:
         raise MissingCoefficient(profile.id, "decode_latency")
+    import numpy as np  # here, so that importing this module does not load numpy
+
     positions = np.arange(1, output_len + 1, dtype=np.float64)
     contexts = input_len + positions - 1.0
     tbts = coeffs.m * contexts + coeffs.n

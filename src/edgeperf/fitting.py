@@ -13,8 +13,6 @@ Every coefficient and SSE is returned as a finite plain ``float``; a fit that
 would be non-finite raises ``DegenerateDesign`` instead.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from dataclasses import dataclass

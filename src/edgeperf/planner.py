@@ -5,8 +5,6 @@ constrained-selection queries, aggregates parallel samples by majority vote,
 and summarizes prefill/decode phase ratios.
 """
 
-from __future__ import annotations
-
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field

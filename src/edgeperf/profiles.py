@@ -9,8 +9,6 @@ fields and type hints: profile JSON, the measurement CSV, the planner's
 config-table CSV and the fitters' JSON output.
 """
 
-from __future__ import annotations
-
 import csv
 import functools
 import json
@@ -22,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Callable, Iterator, NamedTuple, Optional, Union
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_origin
 
 from .errors import DuplicateId, InvariantViolation, ParseError, UnknownModel
 
@@ -287,11 +285,12 @@ def _schema(cls) -> tuple[_Field, ...]:
 
     Field metadata may give the JSON key or CSV column (``key``) and let the
     field be +inf (``unbounded``); a missing unbounded value means +inf.
+    ``Field.type`` is the annotated type itself, because no record module
+    postpones its annotations (no ``from __future__ import annotations``).
     """
-    hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
-        kind = hints[f.name]
+        kind = f.type
         if get_origin(kind) is Union:  # Optional[X]
             (kind,) = (arg for arg in get_args(kind) if arg is not type(None))
         unbounded = f.metadata.get("unbounded", False)

@@ -285,6 +285,17 @@ class TestOut:
         assert out == ""
         assert target.read_text() == "prefill=0.782797 decode=24.0192 total=24.802\n"
 
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("missing/x.txt", "No such file or directory"), ("", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_path_exit_2(self, capsys, tmp_path, where, reason):
+        target = tmp_path / where
+        code, out, err = run(capsys, "vote", "B", "A", "B", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: {reason}\n"
+
 
 class TestFit:
     def test_decode_fit_from_csv(self, capsys, tmp_path):
