@@ -319,7 +319,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", parents=[common], help="query a configuration table")
     p.add_argument("--table", help="config CSV (default: built-in result table)")
-    p.add_argument("--technique", action="append", help="filter by technique (repeatable)")
+    p.add_argument(
+        "--technique",
+        action="append",
+        choices=[t.value for t in planner.Technique],
+        help="filter by technique (repeatable)",
+    )
     p.add_argument("--pareto", metavar="OBJ,OBJ[,OBJ]", help="objectives from accuracy,latency,cost")
     p.add_argument("--max-latency", type=float, help="best accuracy within a latency budget (s)")
     p.add_argument("--max-cost", type=float, help="best accuracy within a cost budget ($/Mtok)")

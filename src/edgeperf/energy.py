@@ -20,7 +20,7 @@ from .profiles import (
     PiecewisePowerModel,
 )
 
-# Jetson Orin power envelope; decode_power warns above this by default.
+# Jetson Orin power envelope; decode_power warns above this.
 DEFAULT_PLATFORM_CAP_WATTS = 60.0
 
 
@@ -108,11 +108,7 @@ def prefill_energy_per_token(profile: ModelProfile, input_len: int) -> float:
     return piecewise_energy_value(profile.prefill_energy, input_len)
 
 
-def decode_power(
-    profile: ModelProfile,
-    output_pos: int,
-    platform_cap_watts: float = DEFAULT_PLATFORM_CAP_WATTS,
-) -> float:
+def decode_power(profile: ModelProfile, output_pos: int) -> float:
     """Average decode power in watts at the given output position.
 
     Warns through :class:`ImplausibleWattsWarning` when the model evaluates
@@ -124,10 +120,10 @@ def decode_power(
     if output_pos < 1:
         raise DomainError(f"output_pos must be >= 1, got {output_pos}")
     watts = piecewise_power_value(profile.decode_power, output_pos, inclusive=False)
-    if watts > platform_cap_watts:
+    if watts > DEFAULT_PLATFORM_CAP_WATTS:
         warnings.warn(
             f"{profile.id}: modeled decode power {watts:.1f} W at position "
-            f"{output_pos} exceeds the {platform_cap_watts:.0f} W platform cap",
+            f"{output_pos} exceeds the {DEFAULT_PLATFORM_CAP_WATTS:.0f} W platform cap",
             ImplausibleWattsWarning,
             stacklevel=2,
         )
@@ -168,7 +164,7 @@ def decode_energy(profile: ModelProfile, input_len: int, output_len: int) -> flo
     watts = np.where(
         positions < model.threshold,
         model.floor_watts,
-        model.log_alpha * log(np.maximum(positions, 1.0)) + model.log_beta,
+        model.log_alpha * log(positions) + model.log_beta,
     )
     return float(np.sum(watts * tbts))
 

@@ -6,8 +6,10 @@ an SVD solve when the design is badly conditioned. Every other fit reduces to
 y ~ p*u + q for a known u, solved in closed form by ``_fit_two``: the log
 curve with u = ln x, the piecewise floor with a constant u, and the
 exponential decay with u = exp(-lambda*x) at each candidate rate (variable
-projection, Golub and Pereyra 1973). The rate is scanned on a geometric grid
-in one vectorised pass and refined by golden section.
+projection, Golub and Pereyra 1973). ``_exp_decay`` scans the rate on a
+geometric grid in one vectorised pass and refines it by golden section; it
+works on arrays, and both ``fit_exp_decay`` and the decay branch of
+``fit_piecewise`` call it. No public fitter calls another.
 
 Every coefficient and SSE is returned as a finite plain ``float``; a fit that
 would be non-finite raises ``DegenerateDesign`` instead.
@@ -30,7 +32,6 @@ from .errors import (
 from .latency import padded_length
 from .profiles import (
     DecodeLatencyCoeffs,
-    EnergyUnit,
     MeasurementRecord,
     Phase,
     PiecewiseEnergyModel,
@@ -191,61 +192,66 @@ def fit_log_curve(points: Sequence[tuple[float, float]], min_x: float = 1.0) -> 
     )
 
 
-def _decay_sse_at(lam: float, x: np.ndarray, y: np.ndarray) -> float:
-    return _fit_two(np.exp(-lam * x), y)[2]
+def _exp_decay(x: np.ndarray, y: np.ndarray) -> list[float]:
+    """(A, lambda, C, SSE) of y = A*exp(-lambda*x) + C, fitted over arrays.
 
-
-@np.errstate(all="ignore")
-def fit_exp_decay(points: Sequence[tuple[float, float]]) -> FitResult:
-    """Fit y = A*exp(-lambda*x) + C.
-
-    Needs at least four points on at least three distinct x. For a fixed
-    rate, (A, C) is a two-parameter linear fit in closed form; the rate is
-    scanned on a geometric grid over [1e-5, 1] in one pass, then refined by
-    golden section around the best grid cell. Collapses to the constant fit
-    (with a warning) when the best decay amplitude is nonpositive.
+    Needs at least three distinct x and every y positive. For a fixed rate,
+    (A, C) is a two-parameter linear fit in closed form; the rate is scanned
+    on a geometric grid over [1e-5, 1] in one pass, then refined by golden
+    section around the best grid cell. A nonpositive best amplitude gives
+    the constant fit, with A = lambda = 0.
     """
-    if len(points) < 4:
-        raise InsufficientData(f"need >= 4 points, found {len(points)}")
-    x = np.array([p[0] for p in points], dtype=np.float64)
-    y = np.array([p[1] for p in points], dtype=np.float64)
     distinct = len(set(x.tolist()))
     if distinct < 3:
         raise InsufficientData(f"need >= 3 distinct x, found {distinct}")
     if np.any(y <= 0):
         raise InsufficientData("all y values must be positive")
 
+    def sse_at(lam: float) -> float:
+        return _fit_two(np.exp(-lam * x), y)[2]
+
     grid = np.geomspace(1e-5, 1.0, 80)
     best = int(np.argmin(_fit_two(np.exp(-np.outer(grid, x)), y)[2]))
-
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc = _decay_sse_at(c, x, y)
-    fd = _decay_sse_at(d, x, y)
+    fc = sse_at(c)
+    fd = sse_at(d)
     while (b - a) > 1e-6 * a:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = _decay_sse_at(c, x, y)
+            fc = sse_at(c)
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = _decay_sse_at(d, x, y)
+            fd = sse_at(d)
     lam = (a + b) / 2.0
     amp, floor, sse = _fit_two(np.exp(-lam * x), y)
     if amp <= 0:
+        amp, lam = 0.0, 0.0
+        _, floor, sse = _fit_two(np.zeros_like(y), y)
+    return _finite(amp, lam, floor, sse)
+
+
+@np.errstate(all="ignore")
+def fit_exp_decay(points: Sequence[tuple[float, float]]) -> FitResult:
+    """Fit y = A*exp(-lambda*x) + C (``_exp_decay``) over at least four points.
+
+    Warns when the fit collapses to the constant fit.
+    """
+    if len(points) < 4:
+        raise InsufficientData(f"need >= 4 points, found {len(points)}")
+    x = np.array([p[0] for p in points], dtype=np.float64)
+    y = np.array([p[1] for p in points], dtype=np.float64)
+    amp, lam, floor, sse = _exp_decay(x, y)
+    if amp == 0.0:  # only the collapse gives a zero amplitude
         warnings.warn(
             "no exponential decay detected; returning the constant fit",
             NoDecayDetectedWarning,
             stacklevel=3,  # past the np.errstate wrapper, to the caller
         )
-        amp, lam = 0.0, 0.0
-        _, floor, sse = _fit_two(np.zeros_like(y), y)
-    amp, lam, floor, sse = _finite(amp, lam, floor, sse)
     return FitResult(
         coefficients=ExpDecay(exp_A=amp, exp_lambda=lam, exp_C=floor),
         residual_sse=sse,
@@ -261,8 +267,9 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     decay, then log). Breakpoint candidates are the observed x values with at
     least three points on each side (four on the left for the decay branch),
     two distinct positive x on the right, and a left side the decay branch
-    can fit; equal SSE prefers the smaller breakpoint. Data a single branch
-    already explains degenerates to that branch with the breakpoint at max x.
+    can fit; equal SSE prefers the smaller breakpoint. When the left branch
+    alone fits every point no worse, it is returned with an infinite
+    threshold and no log branch.
     """
     if kind not in ("power", "energy"):
         raise ValueError(f"kind must be 'power' or 'energy', got {kind!r}")
@@ -275,68 +282,48 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     min_left = 4 if kind == "energy" else 3
 
     def left_fit(n: int) -> tuple[float, dict]:
-        """The left branch over the n smallest x."""
+        """The left branch over the n smallest x: its SSE and model fields."""
         if kind == "power":
-            _, floor, sse = _fit_two(np.zeros(n), ys[:n])
-            floor, sse = _finite(floor, sse)
+            _, floor, sse = _finite(*_fit_two(np.zeros(n), ys[:n]))
             return sse, {"floor_watts": floor}
-        result = fit_exp_decay(list(zip(xs[:n], ys[:n])))
-        c = result.coefficients
-        return result.residual_sse, {
-            "exp_A": c.exp_A,
-            "exp_lambda": c.exp_lambda,
-            "exp_C": c.exp_C,
-        }
+        amp, lam, floor, sse = _exp_decay(xs[:n], ys[:n])
+        return sse, {"exp_A": amp, "exp_lambda": lam, "exp_C": floor}
 
-    best = None  # (sse, breakpoint, left_params, right_params)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NoDecayDetectedWarning)
-        # n points on the left, x <= bp, and at least three on the right.
-        for n in range(min_left, len(xs) - 2):
-            bp = float(xs[n - 1])
-            # bp must end its run of equal x; the right needs two distinct x > 0.
-            if bp == xs[n] or xs[n] == xs[-1] or xs[n] <= 0:
-                continue
-            try:
-                sse_l, params_l = left_fit(n)
-            except InsufficientData:
-                continue
-            alpha, beta, sse_r = _finite(*_fit_two(log_xs[n:], ys[n:]))
-            sse = sse_l + sse_r
-            if best is None or sse < best[0] - 1e-15:
-                best = (sse, bp, params_l, {"log_alpha": alpha, "log_beta": beta})
-
-        # Single-branch alternative over the whole domain; it may not fit
-        # (a decay needs every y > 0) when a breakpoint does.
+    best = None  # (sse, threshold, left fields, right fields)
+    # n points on the left, x <= bp, and at least three on the right.
+    for n in range(min_left, len(xs) - 2):
+        bp = float(xs[n - 1])
+        # bp must end its run of equal x; the right needs two distinct x > 0.
+        if bp == xs[n] or xs[n] == xs[-1] or xs[n] <= 0:
+            continue
         try:
-            single = left_fit(len(xs))
+            sse_l, left = left_fit(n)
         except InsufficientData:
-            if best is None:
-                raise
-            single = None
-    if single is not None and (best is None or single[0] <= best[0] + 1e-15):
-        best = (single[0], float(xs[-1]), single[1], {})
+            continue
+        alpha, beta, sse_r = _finite(*_fit_two(log_xs[n:], ys[n:]))
+        sse = sse_l + sse_r
+        if best is None or sse < best[0] - 1e-15:
+            best = (sse, bp, left, {"log_alpha": alpha, "log_beta": beta})
 
-    sse, bp, params_l, params_r = best
+    # Single-branch alternative over the whole domain; it may not fit
+    # (a decay needs every y > 0) when a breakpoint does.
+    try:
+        single = left_fit(len(xs))
+    except InsufficientData:
+        if best is None:
+            raise
+        single = None
+    if single is not None and (best is None or single[0] <= best[0] + 1e-15):
+        best = (single[0], math.inf, single[1], {})
+
+    sse, threshold, left, right = best
     (sse,) = _finite(sse)
-    if kind == "power":
-        coeffs: Coefficients = PiecewisePowerModel(
-            floor_watts=params_l["floor_watts"],
-            threshold=bp if params_r else math.inf,
-            log_alpha=params_r.get("log_alpha"),
-            log_beta=params_r.get("log_beta"),
-        )
-    else:
-        coeffs = PiecewiseEnergyModel(
-            threshold=bp if params_r else math.inf,
-            exp_A=params_l["exp_A"],
-            exp_lambda=params_l["exp_lambda"],
-            exp_C=params_l["exp_C"],
-            log_alpha=params_r.get("log_alpha"),
-            log_beta=params_r.get("log_beta"),
-            unit=EnergyUnit.FITTED,
-        )
-    return FitResult(coefficients=coeffs, residual_sse=sse, points_used=len(pts))
+    model = PiecewisePowerModel if kind == "power" else PiecewiseEnergyModel
+    return FitResult(
+        coefficients=model(threshold=threshold, **left, **right),
+        residual_sse=sse,
+        points_used=len(pts),
+    )
 
 
 def mape(predictions: Sequence[float], actuals: Sequence[float]) -> float:

@@ -61,16 +61,12 @@ def prefill_latency(profile: ModelProfile, input_len: int) -> float:
     return coeffs.a * ipad * ipad + coeffs.b * ipad + coeffs.c
 
 
-def tbt_value(coeffs: DecodeLatencyCoeffs, context_len: int) -> float:
-    """Raw linear TBT form without positivity enforcement."""
-    return coeffs.m * context_len + coeffs.n
-
-
 def tbt(profile: ModelProfile, context_len: int) -> float:
     """Time between tokens at the given context length, in seconds."""
     if context_len < 1:
         raise DomainError(f"context_len must be >= 1, got {context_len}")
-    value = tbt_value(_decode_coeffs(profile), context_len)
+    coeffs = _decode_coeffs(profile)
+    value = coeffs.m * context_len + coeffs.n
     if value <= 0:
         raise NonpositiveTBT(
             f"TBT model of {profile.id!r} is nonpositive at context {context_len}"

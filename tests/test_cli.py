@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import edgeperf
 from edgeperf import cli
 from edgeperf.latency import decode_latency, prefill_latency
 from edgeperf.profiles import serialize_profiles
+
+SRC = str(Path(edgeperf.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -257,6 +264,23 @@ class TestPlan:
         code, _, err = run(capsys, "plan")
         assert code == 1
         assert err != ""
+
+    def test_unknown_technique_exit_2_without_traceback(self):
+        # A fresh process, so that an uncaught exception would print its traceback.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        argv = ["plan", "--technique", "foo", "--pareto", "accuracy,latency"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "edgeperf.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "invalid choice: 'foo'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestVote:

@@ -245,6 +245,31 @@ def noisy_1p5b_prefill_energy():
     ]
 
 
+def noisy_power_floor_then_log():
+    """A 5.6 W floor up to x=384, then 0.9*ln(x) + 0.1, with 2% lognormal noise, seeded."""
+    rng = random.Random(20252)
+    xs = [16, 32, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096]
+    return [
+        (float(x), (5.6 if x <= 384 else 0.9 * math.log(x) + 0.1) * math.exp(rng.gauss(0.0, 0.02)))
+        for x in xs
+    ]
+
+
+def rising_energy_then_log():
+    """Energy per token that rises slowly to x=256, then follows a log curve, seeded.
+
+    No rising left side is a decay, so every decay fit over the first 4-10
+    points, and over all 13, collapses to the constant fit.
+    """
+    rng = random.Random(20253)
+    xs = [16, 32, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 2048, 4096]
+
+    def truth(x):
+        return 0.02 + 1e-5 * x if x <= 256 else 0.004 * math.log(x)
+
+    return [(float(x), truth(x) * math.exp(rng.gauss(0.0, 0.01))) for x in xs]
+
+
 class TestGolden:
     """Values recorded from the generic-solver fitters; rate and breakpoint must not move."""
 
@@ -264,6 +289,28 @@ class TestGolden:
         assert model.exp_A == pytest.approx(0.07291677610985434, rel=1e-12)
         assert model.exp_C == pytest.approx(0.0008526525854607032, rel=1e-12)
         assert result.residual_sse == pytest.approx(8.361663929424707e-07, rel=1e-12)
+
+    # The two below were recorded while fit_piecewise still called fit_exp_decay.
+    def test_piecewise_power(self):
+        result = fit_piecewise(noisy_power_floor_then_log(), kind="power")
+        model = result.coefficients
+        assert model.threshold == 256.0
+        assert model.floor_watts == pytest.approx(5.611771890028953, rel=1e-12)
+        assert model.log_alpha == pytest.approx(0.8328007629758506, rel=1e-12)
+        assert model.log_beta == pytest.approx(0.5453579524803605, rel=1e-12)
+        assert result.residual_sse == pytest.approx(0.07167248022508597, rel=1e-12)
+        assert result.points_used == 15
+
+    def test_piecewise_energy_collapsed_decay(self):
+        result = fit_piecewise(rising_energy_then_log(), kind="energy")
+        model = result.coefficients
+        assert model.threshold == 128.0
+        assert (model.exp_A, model.exp_lambda) == (0.0, 0.0)
+        assert model.exp_C == pytest.approx(0.02079275385462077, rel=1e-12)
+        assert model.log_alpha == pytest.approx(0.0038857966380479426, rel=1e-12)
+        assert model.log_beta == pytest.approx(0.0008429802401580082, rel=1e-12)
+        assert result.residual_sse == pytest.approx(2.0400797255730273e-06, rel=1e-12)
+        assert result.points_used == 13
 
 
 class TestFitPiecewise:
@@ -341,6 +388,12 @@ class TestFitPiecewise:
         assert model.threshold == 0
         assert model.log_alpha == pytest.approx(0.9, rel=1e-9)
 
+    def test_energy_collapse_emits_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_piecewise(rising_energy_then_log(), kind="energy").coefficients
+        assert model.exp_A == 0.0
+
     def test_energy_left_side_needs_three_distinct_x(self):
         # Breakpoint 64 leaves four points on two distinct x; it is skipped,
         # not fitted as an arbitrary decay.
@@ -385,6 +438,10 @@ class TestNonFinite:
                 fit_exp_decay(points)
             with pytest.raises(DegenerateDesign):
                 fit_prefill_latency(prefill_rows(1e300, 1e300, 1e300, [128, 256, 512]))
+            # Rising data collapses to a constant fit whose SSE overflows: no
+            # "returning the constant fit" warning for a fit that is refused.
+            with pytest.raises(DegenerateDesign):
+                fit_exp_decay([(x, x * 1e154) for x in (1, 2, 3, 4, 5)])
 
 
 def test_every_fitter_returns_plain_floats():

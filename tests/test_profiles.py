@@ -317,6 +317,21 @@ class TestValidateProfile:
         issues = validate_profile(profile)
         assert any(issue.field == "prefill_latency" for issue in issues)
 
+    def test_decode_power_at_threshold_uses_the_log_branch(self):
+        # decode_power puts position == threshold on the log branch, which
+        # reads -0.001 W at 64 here; the floor branch would read 5 W.
+        profile = ModelProfile(
+            id="dips-at-threshold",
+            param_count=1.0,
+            decode_power=PiecewisePowerModel(
+                floor_watts=5.0, threshold=64, log_alpha=1.0, log_beta=-math.log(64) - 0.001
+            ),
+        )
+        issues = validate_profile(profile)
+        assert [(i.field, i.rule) for i in issues] == [
+            ("decode_power", "nonpositive watts at output_pos=64")
+        ]
+
 
 class TestLoadMeasurements:
     def test_shipped_decode_file(self):
