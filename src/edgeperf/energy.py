@@ -32,8 +32,8 @@ class CostParams:
     hardware_rate: float = 0.045
 
     def __post_init__(self):
-        if self.electricity < 0 or self.hardware_rate < 0:
-            raise DomainError("cost parameters must be >= 0")
+        if not (0 <= self.electricity < math.inf and 0 <= self.hardware_rate < math.inf):
+            raise DomainError("cost parameters must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,12 @@ class UsageSample:
     energy: float
 
     def __post_init__(self):
-        if self.tokens < 1:
-            raise DomainError(f"tokens must be >= 1, got {self.tokens}")
-        if not self.duration > 0:
-            raise DomainError(f"duration must be > 0, got {self.duration}")
-        if self.energy < 0:
-            raise DomainError(f"energy must be >= 0, got {self.energy}")
+        if not 1 <= self.tokens < math.inf:
+            raise DomainError(f"tokens must be finite and >= 1, got {self.tokens}")
+        if not 0 < self.duration < math.inf:
+            raise DomainError(f"duration must be finite and > 0, got {self.duration}")
+        if not 0 <= self.energy < math.inf:
+            raise DomainError(f"energy must be finite and >= 0, got {self.energy}")
 
 
 @dataclass(frozen=True)

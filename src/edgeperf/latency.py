@@ -114,8 +114,11 @@ def max_output_tokens(profile: ModelProfile, input_len: int, budget: LatencyBudg
     """Largest O >= 0 whose total latency fits inside the budget.
 
     Solves the decode quadratic analytically, then nudges by +-1 with forward
-    evaluation so the boundary is exact in float arithmetic.
+    evaluation so the boundary is exact in float arithmetic. An infinite
+    budget bounds no output length and raises DomainError.
     """
+    if budget.limit == math.inf:
+        raise DomainError("budget limit must be finite to bound the output length")
     coeffs = _decode_coeffs(profile)
     prefill = prefill_latency(profile, input_len)
     if budget.limit < prefill:

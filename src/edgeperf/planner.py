@@ -6,6 +6,7 @@ and summarizes prefill/decode phase ratios.
 """
 
 import warnings
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -60,7 +61,7 @@ class ConfigPoint:
             raise InvariantViolation("config.avg_tokens", "avg_tokens must be >= 0")
         if self.latency is not None and not self.latency > 0:
             raise InvariantViolation("config.latency", "latency must be > 0 when present")
-        if self.cost is not None and self.cost < 0:
+        if self.cost is not None and not self.cost >= 0:
             raise InvariantViolation("config.cost", "cost must be >= 0 when present")
         if self.scaling_factor < 1:
             raise InvariantViolation("config.scaling_factor", "scaling_factor must be >= 1")
@@ -99,12 +100,46 @@ def _objective_values(point: ConfigPoint, objectives: Sequence[str]) -> Optional
     return tuple(out)
 
 
+def _nondominated(vectors: Iterable[tuple]) -> set:
+    """The vectors that no other vector dominates (smaller is better).
+
+    A dominator is weakly smaller in every component and differs from the
+    vector, so it sorts lexicographically before it. One sweep over the
+    sorted vectors therefore only needs to ask whether an earlier one is
+    weakly smaller in the last two components. The earlier ones are
+    summarized by their (v1, v2) staircase: v1 ascending, v2 strictly
+    descending, kept with ``bisect``. Two-component vectors are padded with
+    a constant 0.0, which leaves a one-entry staircase.
+    """
+    kept = set()
+    xs: list = []  # staircase v1, ascending
+    neg_ys: list = []  # staircase -v2, ascending
+    for v in sorted(vectors):
+        _, x, y = v if len(v) == 3 else (*v, 0.0)
+        at = bisect_right(xs, x)
+        if at and -neg_ys[at - 1] <= y:
+            continue  # dominated, or an exact copy of a vector already kept
+        kept.add(v)
+        lo = bisect_left(xs, x)
+        hi = bisect_right(neg_ys, -y, lo)
+        xs[lo:hi] = [x]
+        neg_ys[lo:hi] = [-y]
+    return kept
+
+
 def pareto_frontier(points: Sequence[ConfigPoint], objectives: Iterable[str]) -> list[ConfigPoint]:
     """Non-dominated points under the given objective senses.
 
-    Dominance is weak in every objective and strict in at least one; exact
-    ties never dominate. Points missing a required field are excluded. The
-    frontier is returned sorted by latency ascending.
+    Accuracy is maximized; latency and cost are minimized. A point is
+    dominated when another is at least as good in every requested objective
+    and strictly better in at least one; exact ties never dominate. Points
+    missing a requested field are excluded. Rows that share ``(model_id,
+    technique, objective values, token_budget, scaling_factor)`` appear once,
+    as the first in input order. The frontier is stably sorted by (latency
+    ascending with absent last, accuracy descending, model_id).
+
+    Dominance is decided by one sort-and-sweep (Kung, Luccio and Preparata,
+    1975) in O(n log n) comparisons rather than by testing all pairs.
     """
     requested = set(objectives)
     unknown = requested - set(OBJECTIVES)
@@ -117,24 +152,12 @@ def pareto_frontier(points: Sequence[ConfigPoint], objectives: Iterable[str]) ->
         raise DomainError("need at least 1 point")
     scored = [(p, v) for p in points for v in [_objective_values(p, objs)] if v is not None]
 
-    def dominated(candidate) -> bool:
-        _, cv = candidate
-        for _, other in scored:
-            if other == cv:
-                continue
-            if all(o <= c for o, c in zip(other, cv)) and any(
-                o < c for o, c in zip(other, cv)
-            ):
-                return True
-        return False
-
+    kept = _nondominated(v for _, v in scored)
     frontier = []
     seen = set()
     for p, v in scored:
         key = (p.model_id, p.technique, v, p.token_budget, p.scaling_factor)
-        if key in seen:
-            continue
-        if not dominated((p, v)):
+        if v in kept and key not in seen:
             frontier.append(p)
             seen.add(key)
     frontier.sort(

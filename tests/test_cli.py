@@ -102,6 +102,13 @@ class TestInvert:
         assert out == ""
         assert "prefill" in err
 
+    def test_infinite_budget_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "invert", "--model", "dsr1-qwen-14b", "--input", "512", "--budget", "inf"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -233,6 +240,21 @@ class TestCost:
         assert float(fields["hardware_cost"]) == pytest.approx(0.2785, abs=2e-3)
         assert float(fields["total"]) == pytest.approx(0.3028, abs=2e-3)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--duration", "inf"),
+            ("--energy-kwh", "nan"),
+            ("--electricity", "inf"),
+            ("--hardware-rate", "nan"),
+        ],
+    )
+    def test_non_finite_exit_1(self, capsys, flag, value):
+        argv = {"--tokens": "1000", "--duration": "10", "--energy-kwh": "0.5", flag: value}
+        code, out, err = run(capsys, "cost", *(x for pair in argv.items() for x in pair))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1, err
+
 
 class TestPlan:
     def test_max_cost(self, capsys):
@@ -281,6 +303,25 @@ class TestPlan:
         assert proc.stdout == ""
         assert "invalid choice: 'foo'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+DATA = Path(__file__).parent / "data"
+# stdout of `plan --pareto`, recorded before the frontier was computed by a sweep.
+PARETO_GOLDEN = json.loads((DATA / "pareto_cli_golden.json").read_text())
+
+
+class TestParetoBytes:
+    @pytest.mark.parametrize("case", sorted(PARETO_GOLDEN))
+    def test_stdout_pinned(self, capsys, case):
+        table, objectives, mode = case.split()
+        argv = ["plan", "--pareto", objectives]
+        if table == "ties200":
+            argv += ["--table", str(DATA / "pareto_ties_200.csv")]
+        if mode == "json":
+            argv.append("--json")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == PARETO_GOLDEN[case]
 
 
 class TestVote:

@@ -181,3 +181,16 @@ class TestCost:
             UsageSample(tokens=1, duration=1.0, energy=-0.1)
         with pytest.raises(DomainError):
             CostParams(electricity=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["tokens", "duration", "energy"])
+    def test_usage_refuses_non_finite(self, field, bad):
+        fields = {"tokens": 1000, "duration": 10.0, "energy": 0.5, field: bad}
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            UsageSample(**fields)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["electricity", "hardware_rate"])
+    def test_prices_refuse_non_finite(self, field, bad):
+        with pytest.raises(DomainError, match="must be finite"):
+            CostParams(**{field: bad})

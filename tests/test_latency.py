@@ -179,3 +179,9 @@ class TestMaxOutputTokens:
             LatencyBudget(0.0)
         with pytest.raises(DomainError):
             LatencyBudget(-1.0)
+
+    def test_infinite_budget_refused(self, p14):
+        # An unbounded budget stays valid for selection, but bounds no length.
+        budget = LatencyBudget(float("inf"))
+        with pytest.raises(DomainError, match="finite"):
+            max_output_tokens(p14, 512, budget)

@@ -1,7 +1,11 @@
+import dataclasses
 import io
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeperf import planner
 from edgeperf.errors import (
@@ -27,6 +31,121 @@ from edgeperf.planner import (
 from edgeperf.profiles import MeasurementRecord, Phase
 
 HEADER = "model_id,technique,token_budget,accuracy_pct,avg_tokens,latency_s,cost_per_mtok,scaling_factor\n"
+
+
+def _pareto_reference(points, objectives):
+    """The all-pairs frontier that pareto_frontier's sweep must reproduce."""
+    objs = sorted(set(objectives), key=planner.OBJECTIVES.index)
+    scored = [(p, v) for p in points for v in [planner._objective_values(p, objs)] if v is not None]
+
+    def dominated(cv):
+        for _, other in scored:
+            if other == cv:
+                continue
+            if all(o <= c for o, c in zip(other, cv)) and any(o < c for o, c in zip(other, cv)):
+                return True
+        return False
+
+    frontier = []
+    seen = set()
+    for p, v in scored:
+        key = (p.model_id, p.technique, v, p.token_budget, p.scaling_factor)
+        if key in seen:
+            continue
+        if not dominated(v):
+            frontier.append(p)
+            seen.add(key)
+    frontier.sort(
+        key=lambda p: (
+            p.latency if p.latency is not None else float("inf"),
+            -p.accuracy,
+            p.model_id,
+        )
+    )
+    return frontier
+
+
+# Every objective set, each in two given orders.
+OBJECTIVE_LISTS = [
+    ["accuracy", "latency"],
+    ["latency", "accuracy"],
+    ["accuracy", "cost"],
+    ["cost", "accuracy"],
+    ["latency", "cost"],
+    ["cost", "latency"],
+    ["accuracy", "latency", "cost"],
+    ["cost", "latency", "accuracy"],
+]
+
+
+def assert_same_frontier(points, objectives):
+    got = pareto_frontier(points, objectives)
+    want = _pareto_reference(points, objectives)
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    """Up to 60 points over a few value levels, with duplicates and absent fields."""
+    levels = lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)
+    accuracies = draw(levels([0.0, 12.5, 50.0, 80.6, 100.0]))
+    latencies = draw(levels([0.5, 1.0, 7.5, 259.02])) + [None]
+    costs = draw(levels([0.0, 0.007, 0.1, 2.0])) + [None]
+    points = []
+    for _ in range(draw(st.integers(1, 60))):
+        kind = draw(st.sampled_from(["new", "new", "new", "same", "copy", "retag"]))
+        if points and kind == "same":
+            points.append(draw(st.sampled_from(points)))
+        elif points and kind == "copy":
+            points.append(dataclasses.replace(draw(st.sampled_from(points))))
+        elif points and kind == "retag":
+            other = draw(st.sampled_from(points))
+            if draw(st.booleans()):
+                points.append(dataclasses.replace(other, model_id=draw(st.sampled_from("abc"))))
+            else:
+                points.append(dataclasses.replace(other, technique=draw(st.sampled_from(Technique))))
+        else:
+            points.append(
+                ConfigPoint(
+                    model_id=draw(st.sampled_from("abc")),
+                    technique=draw(st.sampled_from(Technique)),
+                    token_budget=draw(st.sampled_from([None, 256])),
+                    accuracy=draw(st.sampled_from(accuracies)),
+                    avg_tokens=100.0,
+                    latency=draw(st.sampled_from(latencies)),
+                    cost=draw(st.sampled_from(costs)),
+                    scaling_factor=draw(st.sampled_from([1, 2])),
+                )
+            )
+    return points
+
+
+def seeded_table(seed, n):
+    """n points trading accuracy for latency and cost, with rounded values.
+
+    About 10% of the points repeat an earlier row, some under another model.
+    """
+    rng = random.Random(seed)
+    rounded = lambda x: float(f"{x * rng.lognormvariate(0.0, 0.3):.2g}")
+    points = []
+    for _ in range(n):
+        if points and rng.random() < 0.1:
+            other = rng.choice(points)
+            points.append(dataclasses.replace(other, model_id=rng.choice(["a", other.model_id])))
+            continue
+        quality = rng.uniform(0.0, 100.0)
+        points.append(
+            ConfigPoint(
+                model_id=rng.choice("abcd"),
+                technique=rng.choice(list(Technique)),
+                accuracy=float(round(quality)),
+                avg_tokens=100.0,
+                latency=None if rng.random() < 0.05 else rounded(math.exp(quality / 25)),
+                cost=None if rng.random() < 0.05 else rounded(0.001 * math.exp(quality / 30)),
+            )
+        )
+    return points
 
 
 def point(model_id, accuracy, lat, cost=None, technique=Technique.BASE, **kw):
@@ -162,6 +281,25 @@ class TestParetoFrontier:
         with pytest.raises(DomainError):
             pareto_frontier(self.base_points(), ["accuracy", "throughput"])
 
+    def test_zero_accuracy_ties_negative_zero(self):
+        pts = [point("a", 0.0, 1.0), point("b", 0.0, 1.0), point("c", 0.0, 2.0)]
+        frontier = pareto_frontier(pts, ["accuracy", "latency"])
+        assert [p.model_id for p in frontier] == ["a", "b"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_tables())
+    def test_matches_reference(self, points):
+        for objectives in OBJECTIVE_LISTS:
+            assert_same_frontier(points, objectives)
+
+    @pytest.mark.parametrize("objectives", OBJECTIVE_LISTS[::2])
+    def test_matches_reference_n2000(self, objectives):
+        assert_same_frontier(seeded_table(17, 2000), objectives)
+
+    def test_matches_reference_shipped(self, table):
+        for objectives in OBJECTIVE_LISTS:
+            assert_same_frontier(table, objectives)
+
 
 class TestSelection:
     def test_latency_budget_5s(self, table):
@@ -283,6 +421,10 @@ class TestConfigPointInvariants:
     def test_bad_latency(self):
         with pytest.raises(InvariantViolation):
             point("m", 50.0, 0.0)
+
+    def test_nan_cost(self):
+        with pytest.raises(InvariantViolation):
+            point("m", 50.0, 1.0, cost=float("nan"))
 
     def test_bad_scaling_factor(self):
         with pytest.raises(InvariantViolation):
