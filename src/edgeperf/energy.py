@@ -12,7 +12,7 @@ from .errors import (
     MissingCoefficient,
     UnitUndeclared,
 )
-from .latency import decode_latency, tbt
+from .latency import _decode_domain, decode_latency
 from .profiles import (
     EnergyUnit,
     ModelProfile,
@@ -130,12 +130,57 @@ def decode_power(profile: ModelProfile, output_pos: int) -> float:
     return watts
 
 
+_LN10 = math.log(10.0)
+# ln A, Glaisher's constant, and ln H(n) - ln A for n < 32 (see _ln_hyperfactorial).
+_LN_GLAISHER = 0.24875447703378426
+_P_LN_P = [k * math.log(k) for k in range(1, 32)]
+_LN_HYPERFACTORIAL = [math.fsum(_P_LN_P[:n]) - _LN_GLAISHER for n in range(32)]
+
+
+def _ln_hyperfactorial(n: int) -> float:
+    """ln H(n) - ln A, where H(n) = 1^1 * 2^2 * ... * n^n and A is Glaisher's constant.
+
+    Small n come from a math.fsum table, where the asymptotic series is poor;
+    past it the series' truncation error is far below an ulp. ln A cancels in
+    every difference of two values.
+    """
+    if n < len(_LN_HYPERFACTORIAL):
+        return _LN_HYPERFACTORIAL[n]
+    n2 = n * n
+    inv2 = 1.0 / n2
+    return (
+        (n2 / 2 + n / 2 + 1 / 12) * math.log(n)
+        - n2 / 4
+        + inv2 * (1 / 720 - inv2 * (1 / 5040 - inv2 / 10080))
+    )
+
+
 def decode_energy(profile: ModelProfile, input_len: int, output_len: int) -> float:
     """Decode-phase energy in joules.
 
-    Discretized per output token: the power at each output position times that
-    token's TBT. Collapses exactly to floor_watts * decode_latency when every
-    position sits in the constant branch.
+    Discretized per output token: the power P(p) at each output position p
+    times that token's TBT, m*(I+p-1) + n. Collapses exactly to
+    floor_watts * decode_latency when every position sits in the constant
+    branch. Otherwise, with c0 = m*(I-1) + n and a = max(ceil(threshold), 1),
+    the sum takes O(1) time in closed form:
+
+        floor_watts * ((a-1)*c0 + m*(a-1)*a/2)
+        + alpha * (c0 * sum ln p + m * sum p ln p)
+        + beta * (c0 * (O-a+1) + m * sum p),
+
+    the sums running over p in [a, O]: sum ln p = lgamma(O+1) - lgamma(a),
+    and sum p ln p is a difference of log-hyperfactorials. For log10 fits
+    alpha is divided by ln 10.
+
+    Accuracy: within 1e-12 relative of math.fsum of the per-token products,
+    as the tests check on every shipped profile and on generated valid ones
+    with floor_watts >= 0.1 (a few 1e-15 on the shipped profiles). The
+    rounding error is a few ulps of the whole-range sums lgamma(O+1) and
+    ln H(O), so it grows relative to the result where floor_watts is tiny
+    and the power is near zero just past the threshold.
+
+    Raises NonpositiveTBT, through tbt(), at the first context of
+    [I, I+O-1] whose TBT is <= 0.
     """
     if profile.decode_power is None:
         raise MissingCoefficient(profile.id, "decode_power")
@@ -148,25 +193,21 @@ def decode_energy(profile: ModelProfile, input_len: int, output_len: int) -> flo
         # All positions in the constant regime: power factors out of the sum.
         return model.floor_watts * decode_latency(profile, input_len, output_len)
 
-    coeffs = profile.decode_latency
-    if coeffs is None:
-        raise MissingCoefficient(profile.id, "decode_latency")
-    import numpy as np  # here, so that importing this module does not load numpy
-
-    positions = np.arange(1, output_len + 1, dtype=np.float64)
-    contexts = input_len + positions - 1.0
-    tbts = coeffs.m * contexts + coeffs.n
-    if np.any(tbts <= 0):
-        # Route through tbt() for the canonical error.
-        bad = int(contexts[np.argmax(tbts <= 0)])
-        tbt(profile, bad)
-    log = np.log10 if model.log10 else np.log
-    watts = np.where(
-        positions < model.threshold,
-        model.floor_watts,
-        model.log_alpha * log(positions) + model.log_beta,
+    coeffs = _decode_domain(profile, input_len, output_len)
+    m = coeffs.m
+    c0 = m * (input_len - 1) + coeffs.n
+    a = max(math.ceil(model.threshold), 1)
+    o = output_len
+    alpha = model.log_alpha / _LN10 if model.log10 else model.log_alpha
+    sum_ln = math.lgamma(o + 1) - math.lgamma(a)
+    sum_p_ln = _ln_hyperfactorial(o) - _ln_hyperfactorial(a - 1)
+    sum_p = (o * (o + 1) - (a - 1) * a) // 2
+    floor = model.floor_watts * ((a - 1) * c0 + m * ((a - 1) * a // 2))
+    return (
+        floor
+        + alpha * (c0 * sum_ln + m * sum_p_ln)
+        + model.log_beta * (c0 * (o - a + 1) + m * sum_p)
     )
-    return float(np.sum(watts * tbts))
 
 
 def total_energy(profile: ModelProfile, input_len: int, output_len: int) -> float:

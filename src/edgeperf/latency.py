@@ -74,17 +74,42 @@ def tbt(profile: ModelProfile, context_len: int) -> float:
     return value
 
 
-def decode_latency(profile: ModelProfile, input_len: int, output_len: int) -> float:
-    """Seconds to generate ``output_len`` tokens after an ``input_len`` prompt.
+def _decode_domain(profile: ModelProfile, input_len: int, output_len: int) -> DecodeLatencyCoeffs:
+    """The decode coefficients, once I >= 1, O >= 0 and the TBT of every
+    context in [I, I+O-1] is positive.
 
-    Closed form n*O + m*(I*O + O*(O-1)/2), identical to summing the TBT over
-    output positions with contexts I .. I+O-1.
+    TBT is linear in the context, so its least value there is at I when
+    m >= 0 and at I+O-1 when m < 0: one endpoint decides. A nonpositive TBT
+    is raised through tbt() at the first context where it occurs, which a
+    bisection finds when m < 0.
     """
     coeffs = _decode_coeffs(profile)
     if input_len < 1:
         raise DomainError(f"input_len must be >= 1, got {input_len}")
     if output_len < 0:
         raise DomainError(f"output_len must be >= 0, got {output_len}")
+    m, n = coeffs.m, coeffs.n
+    least = input_len if m >= 0 else input_len + output_len - 1  # where TBT is least
+    if output_len and m * least + n <= 0:
+        lo, hi = input_len - 1, least
+        while hi - lo > 1:  # the first nonpositive context is in (lo, hi]
+            mid = (lo + hi) // 2
+            if m * mid + n <= 0:
+                hi = mid
+            else:
+                lo = mid
+        tbt(profile, hi)
+    return coeffs
+
+
+def decode_latency(profile: ModelProfile, input_len: int, output_len: int) -> float:
+    """Seconds to generate ``output_len`` tokens after an ``input_len`` prompt.
+
+    Closed form n*O + m*(I*O + O*(O-1)/2), identical to summing the TBT over
+    output positions with contexts I .. I+O-1. Raises NonpositiveTBT, with
+    tbt()'s message, at the first of those contexts whose TBT is <= 0.
+    """
+    coeffs = _decode_domain(profile, input_len, output_len)
     o = output_len
     return coeffs.n * o + coeffs.m * (input_len * o + o * (o - 1) / 2)
 
@@ -147,9 +172,10 @@ def max_output_tokens(profile: ModelProfile, input_len: int, budget: LatencyBudg
         else:
             guess = max(int((-lin + math.sqrt(disc)) / m), 0)
 
-    while decode_latency(profile, input_len, guess + 1) <= remaining and (
-        cap < 0 or guess + 1 <= cap
-    ):
+    # The cap goes first: decode_latency refuses an output that passes it.
+    while (cap < 0 or guess + 1 <= cap) and decode_latency(
+        profile, input_len, guess + 1
+    ) <= remaining:
         guess += 1
     while guess > 0 and decode_latency(profile, input_len, guess) > remaining:
         guess -= 1

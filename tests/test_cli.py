@@ -79,6 +79,17 @@ class TestPredict:
         # JSON carries full precision; the text mode rounds the same numbers.
         assert f"{doc['total']:.6g}" == "24.802"
 
+    @pytest.mark.parametrize(
+        "input_len, output_len, context",
+        [("1000000", "8192", 1000000), ("150000", "20000", 160000)],
+    )
+    def test_nonpositive_tbt_exit_1(self, capsys, input_len, output_len, context):
+        # The 1.5B TBT slope is negative and crosses zero at context 160000.
+        argv = ["predict", "--model", "dsr1-qwen-1.5b", "--input", input_len, "--output", output_len]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: TBT model of 'dsr1-qwen-1.5b' is nonpositive at context {context}\n"
+
     def test_deterministic(self, capsys):
         argv = ["predict", "--model", "dsr1-llama-8b", "--input", "300", "--output", "64"]
         first = run(capsys, *argv)

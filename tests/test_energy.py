@@ -2,8 +2,10 @@ import math
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from edgeperf import energy
+from edgeperf import default_registry, energy
 from edgeperf.energy import (
     CostBreakdown,
     CostParams,
@@ -19,9 +21,75 @@ from edgeperf.errors import (
     DomainError,
     ImplausibleWattsWarning,
     MissingCoefficient,
+    NonpositiveTBT,
     UnitUndeclared,
 )
-from edgeperf.latency import decode_latency, prefill_latency, tbt
+from edgeperf.latency import decode_latency, prefill_latency, tbt, total_latency
+from edgeperf.profiles import (
+    DecodeLatencyCoeffs,
+    ModelProfile,
+    PiecewisePowerModel,
+    PrefillLatencyCoeffs,
+    validate_profile,
+)
+
+DECODE_PROFILES = [
+    p for p in default_registry() if p.decode_power is not None and p.decode_latency is not None
+]
+
+
+def per_token_sum(profile, input_len, output_len):
+    """The definition of decode energy: power times TBT, summed per output token."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ImplausibleWattsWarning)
+        return math.fsum(
+            decode_power(profile, p) * tbt(profile, input_len + p - 1)
+            for p in range(1, output_len + 1)
+        )
+
+
+def synthetic(m, n, threshold=4.0, log_alpha=1.0, log_beta=5.0, log10=False, floor_watts=5.9):
+    return ModelProfile(
+        id="synthetic",
+        param_count=1.0,
+        prefill_latency=PrefillLatencyCoeffs(a=1e-7, b=2e-6, c=0.05),
+        decode_latency=DecodeLatencyCoeffs(m=m, n=n),
+        decode_power=PiecewisePowerModel(
+            floor_watts=floor_watts,
+            threshold=threshold,
+            log_alpha=log_alpha,
+            log_beta=log_beta,
+            log10=log10,
+        ),
+    )
+
+
+@st.composite
+def valid_decode_profiles(draw):
+    """Valid generated profiles: both log bases, fractional thresholds and
+    thresholds <= 1, TBT slopes of each sign, power up to near zero at the
+    threshold."""
+    n = draw(st.floats(0.005, 0.5))
+    m = draw(st.sampled_from([-1.0, 0.0, 1.0])) * n / 8192 * draw(st.floats(0.0, 0.9))
+    threshold = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 1.0),
+            st.floats(1.0, 300.0),
+            st.integers(1, 300).map(float),
+        )
+    )
+    log10 = draw(st.booleans())
+    log_alpha = draw(st.floats(-5.0, 20.0))
+    # Power at the first log-branch position, from near zero up.
+    first = max(math.ceil(threshold), 1)
+    watts = draw(st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 60.0)))
+    log_beta = watts - log_alpha * (math.log10(first) if log10 else math.log(first))
+    profile = synthetic(
+        m, n, threshold, log_alpha, log_beta, log10, floor_watts=draw(st.floats(0.1, 60.0))
+    )
+    assume(not validate_profile(profile))
+    return profile
 
 
 class TestPrefillPower:
@@ -111,6 +179,47 @@ class TestDecodeEnergy:
         stripped = type(bare)(id="x", param_count=1.0)
         with pytest.raises(MissingCoefficient):
             decode_energy(stripped, 128, 10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        profile=st.sampled_from(DECODE_PROFILES),
+        input_len=st.integers(1, 4096),
+        output_len=st.integers(0, 8192),
+    )
+    def test_closed_form_matches_per_token_sum(self, profile, input_len, output_len):
+        output_len = min(output_len, 8192 - input_len)
+        want = per_token_sum(profile, input_len, output_len)
+        assert abs(decode_energy(profile, input_len, output_len) - want) <= 1e-12 * abs(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        profile=valid_decode_profiles(),
+        output_len=st.integers(0, 2048),
+        input_len=st.integers(1, 8192),
+    )
+    def test_closed_form_on_generated_profiles(self, profile, output_len, input_len):
+        # Contexts stay inside [1, 8192], where a valid profile's TBT is positive.
+        input_len = min(input_len, 8193 - output_len)
+        want = per_token_sum(profile, input_len, output_len)
+        assert abs(decode_energy(profile, input_len, output_len) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("output_len", [3, 20], ids=["floor", "log"])
+    def test_first_nonpositive_tbt_context(self, output_len):
+        # TBT = 0.01 - 1e-3 * context rounds to exactly 0 at context 10.
+        profile = synthetic(m=-1e-3, n=0.01, threshold=4.0)
+        message = "TBT model of 'synthetic' is nonpositive at context 10"
+        for call in (decode_energy, decode_latency, total_latency):
+            with pytest.raises(NonpositiveTBT, match=f"^{message}$"):
+                call(profile, 8, output_len)
+        with pytest.raises(NonpositiveTBT, match="at context 50$"):
+            decode_energy(profile, 50, output_len)
+        assert decode_energy(profile, 1, 9) > 0.0  # contexts 1 .. 9
+
+    @pytest.mark.parametrize("output_len", [10, 300], ids=["floor", "log"])
+    @pytest.mark.parametrize("input_len", [0, -5])
+    def test_input_len_domain(self, p14, input_len, output_len):
+        with pytest.raises(DomainError, match=f"^input_len must be >= 1, got {input_len}$"):
+            decode_energy(p14, input_len, output_len)
 
 
 class TestTotalEnergy:

@@ -1,14 +1,16 @@
 """What importing edgeperf loads, and the names the package exports.
 
-numpy is loaded only by the fitters (and so by ``fit`` and ``validate``) and
-by ``decode_energy`` past the decode power threshold. The cold-path checks
-run in a fresh interpreter, because this process has numpy loaded already.
+numpy is loaded only by the fitters (and so by ``fit`` and ``validate``).
+The cold-path checks run in a fresh interpreter, because this process has
+numpy loaded already.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,8 +35,9 @@ NUMPY_FREE_CALLS = [
     (["plan", "--max-latency", "60"], 0),
 ]
 
-# Whether numpy is loaded after `import edgeperf`, after a floor-branch
-# decode_energy and after each CLI call of argv[1], with the call's exit code.
+# Whether numpy is loaded after `import edgeperf`, after decode_energy on each
+# branch, after total_energy and after each CLI call of argv[1], with the
+# call's exit code.
 CHILD = """
 import contextlib, io, json, sys
 
@@ -45,6 +48,10 @@ report = [["import edgeperf", None, "numpy" in sys.modules]]
 profile = edgeperf.default_registry().get("dsr1-qwen-14b")
 edgeperf.decode_energy(profile, 512, 63)  # every position below the threshold of 64
 report.append(["decode_energy floor branch", None, "numpy" in sys.modules])
+edgeperf.decode_energy(profile, 512, 300)
+report.append(["decode_energy log branch", None, "numpy" in sys.modules])
+edgeperf.total_energy(profile, 512, 300)
+report.append(["total_energy", None, "numpy" in sys.modules])
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.run(argv)
@@ -78,15 +85,25 @@ def _fresh_process_report(calls):
 def test_numpy_only_where_it_computes(numpy_call):
     calls = [argv for argv, _ in NUMPY_FREE_CALLS] + [numpy_call]
     report = _fresh_process_report(calls)
-    expected = [["import edgeperf", None, False], ["decode_energy floor branch", None, False]]
+    library = ["import edgeperf", "decode_energy floor branch", "decode_energy log branch", "total_energy"]
+    expected = [[name, None, False] for name in library]
     expected += [[" ".join(argv), code, False] for argv, code in NUMPY_FREE_CALLS]
     expected.append([" ".join(numpy_call), 0, True])
     assert report == expected
 
 
 def test_decode_energy_log_branch_value(p14):
-    # The value before numpy became a local import of the log branch.
-    assert energy.decode_energy(p14, 512, 300).hex() == "0x1.f2e8caf1b578cp+11"
+    # Correctly rounded: the exact rational sum of the per-token products, each
+    # log rounded as math.log rounds it, rounded once to a float.
+    power, coeffs = p14.decode_power, p14.decode_latency
+    exact = Fraction(0)
+    for p in range(1, 301):
+        if p < power.threshold:
+            watts = Fraction(power.floor_watts)
+        else:
+            watts = Fraction(power.log_alpha) * Fraction(math.log(p)) + Fraction(power.log_beta)
+        exact += watts * (Fraction(coeffs.m) * (512 + p - 1) + Fraction(coeffs.n))
+    assert energy.decode_energy(p14, 512, 300).hex() == float(exact).hex()
 
 
 # The names `edgeperf` exported before fitting became a lazy import.

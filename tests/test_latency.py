@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeperf import latency
 from edgeperf.errors import (
@@ -119,6 +121,25 @@ class TestDecodeLatency:
             decode_latency(p8, 0, 10)
         with pytest.raises(DomainError):
             decode_latency(p8, 10, -1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.floats(-1e-2, 1e-2),
+        n=st.floats(-0.5, 0.5),
+        input_len=st.integers(1, 300),
+        output_len=st.integers(0, 300),
+    )
+    def test_refuses_at_first_nonpositive_context(self, m, n, input_len, output_len):
+        profile = make_profile(m=m, n=n)
+        contexts = range(input_len, input_len + output_len)
+        bad = next((c for c in contexts if m * c + n <= 0), None)
+        if bad is None:
+            assert decode_latency(profile, input_len, output_len) == pytest.approx(
+                sum(tbt(profile, c) for c in contexts), rel=1e-9, abs=1e-12
+            )
+        else:
+            with pytest.raises(NonpositiveTBT, match=f"at context {bad}$"):
+                decode_latency(profile, input_len, output_len)
 
 
 class TestTotalLatency:
