@@ -6,15 +6,21 @@ an SVD solve when the design is badly conditioned. Every other fit reduces to
 y ~ p*u + q for a known u, solved in closed form by ``_fit_two``: the log
 curve with u = ln x, the piecewise floor with a constant u, and the
 exponential decay with u = exp(-lambda*x) at each candidate rate (variable
-projection, Golub and Pereyra 1973). ``_exp_decay`` scans the rate on a
-geometric grid in one vectorised pass and refines it by golden section; it
-works on arrays, and both ``fit_exp_decay`` and the decay branch of
-``fit_piecewise`` call it. No public fitter calls another.
+projection, Golub and Pereyra 1973). ``_exp_decay`` scans the rate on
+``_rate_grid()``, a read-only geometric grid built once, on first use, in
+one vectorised ``_fit_two`` pass, and refines it by golden section. Each
+golden-section probe does ``_fit_two``'s operations for one row in the same
+order, so its SSE is the same to the bit, but it keeps the scalars as Python
+floats and shares y's mean and centred copy with every probe of the call,
+which halves its cost. ``_exp_decay`` works on arrays, and both
+``fit_exp_decay`` and the decay branch of ``fit_piecewise`` call it. No
+public fitter calls another.
 
 Every coefficient and SSE is returned as a finite plain ``float``; a fit that
 would be non-finite raises ``DegenerateDesign`` instead.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,6 +58,19 @@ Coefficients = Union[
 # Design-matrix condition estimate above which the normal equations are
 # abandoned for an orthogonal (SVD) solve.
 _COND_LIMIT = 1e8
+
+
+@functools.cache
+def _rate_grid() -> np.ndarray:
+    """The decay rates that ``_exp_decay`` scans before its golden-section search.
+
+    Built on first use rather than at import, so a process that imports this
+    module without fitting does not pay for it in start-up time or memory,
+    and read-only, since every later call shares it.
+    """
+    grid = np.geomspace(1e-5, 1.0, 80)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -111,6 +130,8 @@ def _fit_two(u: np.ndarray, y: np.ndarray):
     Centred sums keep the slope accurate, and the SSE is summed from the
     explicit residuals. A constant row has du = 0, so sxy = 0 and p = 0/1:
     the constant fit q = mean(y). Returns (p, q, sse), shaped like u[..., 0].
+    The rate grid, the log fits and the constant floor call it; the
+    golden-section probe in ``_exp_decay`` repeats its one-row case.
     """
     n = u.shape[-1]
     u_mean = u.sum(axis=-1, keepdims=True) / n  # what mean() computes, without its overhead
@@ -197,9 +218,9 @@ def _exp_decay(x: np.ndarray, y: np.ndarray) -> list[float]:
 
     Needs at least three distinct x and every y positive. For a fixed rate,
     (A, C) is a two-parameter linear fit in closed form; the rate is scanned
-    on a geometric grid over [1e-5, 1] in one pass, then refined by golden
-    section around the best grid cell. A nonpositive best amplitude gives
-    the constant fit, with A = lambda = 0.
+    on ``_rate_grid()`` in one pass, then refined by golden section around
+    the best grid cell. A nonpositive best amplitude gives the constant fit,
+    with A = lambda = 0.
     """
     distinct = len(set(x.tolist()))
     if distinct < 3:
@@ -207,28 +228,45 @@ def _exp_decay(x: np.ndarray, y: np.ndarray) -> list[float]:
     if np.any(y <= 0):
         raise InsufficientData("all y values must be positive")
 
-    def sse_at(lam: float) -> float:
-        return _fit_two(np.exp(-lam * x), y)[2]
+    # One golden-section probe: _fit_two's operations for one row, in the
+    # same order on the same arrays, with the scalars as Python floats and
+    # y's mean and centred copy shared by every probe. Python float
+    # arithmetic ignores np.errstate but never raises here: it overflows to
+    # inf, carries nan, and the (sxx == 0) term keeps the divisor nonzero.
+    n = len(y)
+    y_mean = float(np.add.reduce(y)) / n
+    yc = y - y_mean
 
-    grid = np.geomspace(1e-5, 1.0, 80)
+    def fit_at(lam: float) -> tuple[float, float, float]:
+        u = np.exp(-lam * x)
+        u_mean = float(np.add.reduce(u)) / n
+        du = u - u_mean
+        sxx = float(np.add.reduce(du * du))
+        p = float(du @ yc) / (sxx + (sxx == 0))
+        q = y_mean - p * u_mean
+        residuals = y - (p * u + q)
+        return p, q, float(np.add.reduce(residuals * residuals))
+
+    grid = _rate_grid()
     best = int(np.argmin(_fit_two(np.exp(-np.outer(grid, x)), y)[2]))
-    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    a = float(grid[max(best - 1, 0)])
+    b = float(grid[min(best + 1, len(grid) - 1)])
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc = sse_at(c)
-    fd = sse_at(d)
+    fc = fit_at(c)[2]
+    fd = fit_at(d)[2]
     while (b - a) > 1e-6 * a:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = sse_at(c)
+            fc = fit_at(c)[2]
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = sse_at(d)
+            fd = fit_at(d)[2]
     lam = (a + b) / 2.0
-    amp, floor, sse = _fit_two(np.exp(-lam * x), y)
+    amp, floor, sse = fit_at(lam)
     if amp <= 0:
         amp, lam = 0.0, 0.0
         _, floor, sse = _fit_two(np.zeros_like(y), y)

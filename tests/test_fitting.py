@@ -3,6 +3,7 @@ import json
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from edgeperf import fitting
 from edgeperf.errors import (
     DegenerateDesign,
+    EdgeperfError,
     InsufficientData,
     LengthMismatch,
     NoDecayDetectedWarning,
@@ -311,6 +313,162 @@ class TestGolden:
         assert model.log_beta == pytest.approx(0.0008429802401580082, rel=1e-12)
         assert result.residual_sse == pytest.approx(2.0400797255730273e-06, rel=1e-12)
         assert result.points_used == 13
+
+
+GOLDEN_FITS = Path(__file__).parent / "data" / "fit_golden.json"
+GOLDEN_SEEDS = range(40)
+
+
+def decay_then_log_curve(seed):
+    """A noisy decay-then-log energy curve of 8-60 points, seeded; x may repeat."""
+    rng = random.Random(7000 + seed)
+    n = rng.randint(8, 60)
+    xs = sorted(rng.choice(range(8, 4097, 8)) for _ in range(n))
+    amp, lam, floor = rng.uniform(0.01, 0.5), 10.0 ** rng.uniform(-3.0, -1.0), rng.uniform(1e-4, 1e-2)
+    bp = xs[rng.randint(3, n - 4)]
+    alpha = rng.uniform(1e-3, 2e-2)
+    beta = amp * math.exp(-lam * bp) + floor - alpha * math.log(bp)
+    sigma = rng.uniform(0.005, 0.05)
+
+    def truth(x):
+        return amp * math.exp(-lam * x) + floor if x <= bp else alpha * math.log(x) + beta
+
+    return [(float(x), truth(x) * math.exp(rng.gauss(0.0, sigma))) for x in xs]
+
+
+def golden_fits(points, action="always"):
+    """float.hex of every float field and the SSE of both decay fits, or what they raised.
+
+    ``action`` is the warnings filter: under "error" a collapse warning is what
+    the fit raised, and any other warning escapes.
+    """
+    out = {}
+    for name, fit in (
+        ("exp_decay", fit_exp_decay),
+        ("piecewise_energy", lambda p: fit_piecewise(p, kind="energy")),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            try:
+                result = fit(points)
+            except (EdgeperfError, NoDecayDetectedWarning) as exc:
+                fields = {"raises": type(exc).__name__}
+            else:
+                fields = {k: v.hex() for k, v in vars(result.coefficients).items() if isinstance(v, float)}
+                fields["sse"] = result.residual_sse.hex()
+        fields["warnings"] = sorted({w.category.__name__ for w in caught})
+        out[name] = fields
+    return out
+
+
+class TestGoldenFile:
+    """Bits of both decay fits on seeded curves, recorded before the probe was specialised."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_FITS.read_text())
+
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    def test_bit_identical(self, golden, seed):
+        assert golden_fits(decay_then_log_curve(seed)) == golden[str(seed)]
+
+
+def _exp_decay_reference(x, y):
+    """``fitting._exp_decay`` with one full ``_fit_two`` per probe, the form it must match bit for bit."""
+    distinct = len(set(x.tolist()))
+    if distinct < 3:
+        raise InsufficientData(f"need >= 3 distinct x, found {distinct}")
+    if np.any(y <= 0):
+        raise InsufficientData("all y values must be positive")
+
+    def sse_at(lam):
+        return fitting._fit_two(np.exp(-lam * x), y)[2]
+
+    grid = np.geomspace(1e-5, 1.0, 80)
+    best = int(np.argmin(fitting._fit_two(np.exp(-np.outer(grid, x)), y)[2]))
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc = sse_at(c)
+    fd = sse_at(d)
+    while (b - a) > 1e-6 * a:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = sse_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = sse_at(d)
+    lam = (a + b) / 2.0
+    amp, floor, sse = fitting._fit_two(np.exp(-lam * x), y)
+    if amp <= 0:
+        amp, lam = 0.0, 0.0
+        _, floor, sse = fitting._fit_two(np.zeros_like(y), y)
+    return fitting._finite(amp, lam, floor, sse)
+
+
+def outcome(call, *args):
+    """("ok", float.hex of each value) or (error type, message) of one call, numpy warnings off."""
+    try:
+        with np.errstate(all="ignore"):
+            values = call(*args)
+    except EdgeperfError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", [v.hex() for v in values]
+
+
+class TestExpDecayReference:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(3, 60).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 5000.0)),
+                    st.floats(1e-6, 1e3),
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_bit_identical(self, points):
+        x = np.array([p[0] for p in points])
+        y = np.array([p[1] for p in points])
+        assert outcome(fitting._exp_decay, x, y) == outcome(_exp_decay_reference, x, y)
+
+    def test_too_few_distinct_x_raises_the_same(self):
+        x, y = np.array([1.0, 1.0, 2.0, 2.0]), np.array([0.5, 0.4, 0.3, 0.2])
+        assert outcome(fitting._exp_decay, x, y) == outcome(_exp_decay_reference, x, y)
+        assert outcome(fitting._exp_decay, x, y)[0] == "InsufficientData"
+
+
+EXTREME_POINTS = {
+    "huge x": [(1e300, 1.0), (2e300, 0.5), (3e300, 0.2), (4e300, 0.1), (5e300, 0.05), (6e300, 0.01)],
+    "x at the float limit": [(1e308, 0.3), (1.5e308, 0.2), (1.7e308, 0.1), (1.79e308, 0.05)],
+    "negative x": [(-1e4, 1.0), (-5e3, 2.0), (-1e3, 2.5), (0.0, 3.0), (10.0, 4.0), (20.0, 4.5)],
+    "y near 1e-300": [(x, 1e-300 * math.exp(-0.03 * x) + 1e-302) for x in (16, 32, 64, 128, 256, 512)],
+    "y near 1e300": [(x, 1e300 * math.exp(-0.03 * x) + 1e298) for x in (16, 32, 64, 128, 256, 512)],
+    "y from 1e-300 to 1e300": [(16, 1e300), (32, 1e100), (64, 1.0), (128, 1e-100), (256, 1e-300), (512, 1e-300)],
+    "constant y": [(x, 3.0) for x in (16, 32, 64, 128, 256, 512, 1024)],
+    "subnormal y": [(x, 5e-324 * k) for k, x in enumerate((16, 32, 64, 128, 256, 512), 1)],
+}
+
+
+class TestExtremeInputs:
+    """The Python-float probe stays total: the reference's outcome, and never a stray error or warning."""
+
+    @pytest.mark.parametrize("case", sorted(EXTREME_POINTS))
+    def test_same_outcome_as_reference(self, case, monkeypatch):
+        got = golden_fits(EXTREME_POINTS[case], action="error")
+        monkeypatch.setattr(fitting, "_exp_decay", _exp_decay_reference)
+        assert got == golden_fits(EXTREME_POINTS[case], action="error")
+        for fields in got.values():
+            raised = fields.pop("raises", None)
+            assert raised in (None, "NoDecayDetectedWarning", "DegenerateDesign", "InsufficientData")
+            assert fields.pop("warnings") == []
+            assert all(math.isfinite(float.fromhex(v)) for k, v in fields.items() if k != "threshold")
 
 
 class TestFitPiecewise:
