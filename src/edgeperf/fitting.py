@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDesign,
+    DomainError,
     InsufficientData,
     LengthMismatch,
     NoDecayDetectedWarning,
@@ -374,9 +375,12 @@ def mape(predictions: Sequence[float], actuals: Sequence[float]) -> float:
         raise LengthMismatch("empty inputs")
     if any(a == 0 for a in actuals):
         raise ZeroActual("an actual value is zero; percentage error undefined")
-    return 100.0 * float(
+    result = 100.0 * float(
         np.mean([abs(p - a) / abs(a) for p, a in zip(predictions, actuals)])
     )
+    if not math.isfinite(result):
+        raise DomainError(f"MAPE is {result}: a percentage error is not finite")
+    return result
 
 
 _SECTIONS = {

@@ -74,15 +74,33 @@ def tbt(profile: ModelProfile, context_len: int) -> float:
     return value
 
 
+def _first(holds, lo: int, hi: int) -> int:
+    """Least k in (lo, hi] where ``holds``, false at lo and true from there to hi."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _tbt_zero(m: float, n: float, lo: int, hi: int) -> int | None:
+    """First context c in [lo, hi] where tbt() refuses, m*c + n <= 0, or None.
+    Two evaluations confirm ceil(-n/m), which rounding moves only past ~2**50."""
+    if m * (hi if m < 0.0 else lo) + n > 0.0:  # the TBT is least at one end
+        return None
+    if m >= 0.0 or m * lo + n <= 0.0:
+        return lo
+    c = math.ceil(-n / m)  # finite: here n > 0 and m*hi + n <= 0
+    if m * c + n <= 0.0 < m * (c - 1) + n:
+        return c
+    return _first(lambda x: m * x + n <= 0.0, lo, hi)
+
+
 def _decode_domain(profile: ModelProfile, input_len: int, output_len: int) -> DecodeLatencyCoeffs:
     """The decode coefficients, once I >= 1, O >= 0 and the TBT of every
-    context in [I, I+O-1] is positive.
-
-    TBT is linear in the context, so its least value there is at I when
-    m >= 0 and at I+O-1 when m < 0: one endpoint decides. A nonpositive TBT
-    is raised through tbt() at the first context where it occurs, which a
-    bisection finds when m < 0.
-    """
+    context in [I, I+O-1] is positive; else tbt() raises at the first."""
     coeffs = _decode_coeffs(profile)
     if input_len < 1:
         raise DomainError(f"input_len must be >= 1, got {input_len}")
@@ -91,14 +109,7 @@ def _decode_domain(profile: ModelProfile, input_len: int, output_len: int) -> De
     m, n = coeffs.m, coeffs.n
     least = input_len if m >= 0 else input_len + output_len - 1  # where TBT is least
     if output_len and m * least + n <= 0:
-        lo, hi = input_len - 1, least
-        while hi - lo > 1:  # the first nonpositive context is in (lo, hi]
-            mid = (lo + hi) // 2
-            if m * mid + n <= 0:
-                hi = mid
-            else:
-                lo = mid
-        tbt(profile, hi)
+        tbt(profile, _tbt_zero(m, n, input_len, input_len + output_len - 1))
     return coeffs
 
 
@@ -122,26 +133,16 @@ def total_latency(profile: ModelProfile, input_len: int, output_len: int) -> Lat
     )
 
 
-def _tbt_positive_output_cap(coeffs: DecodeLatencyCoeffs, input_len: int) -> int:
-    """Largest O such that every generated token still has positive TBT.
-
-    Only binding for m < 0, where the linear TBT form eventually crosses zero.
-    """
-    if coeffs.m >= 0:
-        return -1  # unbounded
-    # Need m*(I + O - 1) + n > 0 for the last position.
-    limit = -coeffs.n / coeffs.m - input_len + 1
-    cap = math.ceil(limit) - 1
-    return max(cap, 0)
+_MAX_TOKENS = 2**53  # no float counts single tokens past this
 
 
 def max_output_tokens(profile: ModelProfile, input_len: int, budget: LatencyBudget) -> int:
     """Largest O >= 0 whose total latency fits inside the budget.
 
-    Solves the decode quadratic analytically, then nudges by +-1 with forward
-    evaluation so the boundary is exact in float arithmetic. An infinite
-    budget bounds no output length and raises DomainError.
-    """
+    Returns the root of the decode quadratic if decode(O) <= budget - prefill
+    < decode(O+1) holds there in floats, else bisects [0, hi] in <= 53 steps;
+    hi is the TBT cap or 2**53. A budget that covers decode(hi) raises
+    NonpositiveTBT at the cap and DomainError at 2**53, as does an infinite one."""
     if budget.limit == math.inf:
         raise DomainError("budget limit must be finite to bound the output length")
     coeffs = _decode_coeffs(profile)
@@ -153,30 +154,28 @@ def max_output_tokens(profile: ModelProfile, input_len: int, budget: LatencyBudg
     remaining = budget.limit - prefill
     m, n = coeffs.m, coeffs.n
 
-    cap = _tbt_positive_output_cap(coeffs, input_len)
-    if cap >= 0 and decode_latency(profile, input_len, cap) <= remaining:
+    zero = None
+    if m < 0.0 or m * input_len + n <= 0.0:  # else the TBT stays positive from I on
+        zero = _tbt_zero(m, n, input_len, input_len + _MAX_TOKENS)
+    hi = _MAX_TOKENS if zero is None else zero - input_len
+    if zero is not None and decode_latency(profile, input_len, hi) <= remaining:
         raise NonpositiveTBT(
             f"budget exceeds the TBT-positive range of {profile.id!r} "
-            f"(cap {cap} output tokens at input_len {input_len})"
+            f"(cap {hi} output tokens at input_len {input_len})"
         )
 
     # decode(O) = (m/2) O^2 + (n + m I - m/2) O
     half_m = m / 2.0
     lin = n + m * input_len - half_m
     if m == 0.0:
-        guess = int(remaining // n)
+        root = remaining // n
     else:
         disc = lin * lin + 4.0 * half_m * remaining
-        if disc < 0.0:
-            guess = 0
-        else:
-            guess = max(int((-lin + math.sqrt(disc)) / m), 0)
-
-    # The cap goes first: decode_latency refuses an output that passes it.
-    while (cap < 0 or guess + 1 <= cap) and decode_latency(
-        profile, input_len, guess + 1
-    ) <= remaining:
-        guess += 1
-    while guess > 0 and decode_latency(profile, input_len, guess) > remaining:
-        guess -= 1
-    return guess
+        root = (-lin + math.sqrt(disc)) / m if disc >= 0.0 else 0.0
+    k = int(root) if 0.0 < root < hi else 0  # past hi, only the bisection answers
+    if k == 0 or decode_latency(profile, input_len, k) <= remaining:
+        if decode_latency(profile, input_len, k + 1) > remaining:
+            return k
+    if zero is None and decode_latency(profile, input_len, hi) <= remaining:
+        raise DomainError(f"budget {budget.limit} s fits at least 2**53 output tokens")
+    return _first(lambda k: decode_latency(profile, input_len, k) > remaining, 0, hi) - 1

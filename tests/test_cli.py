@@ -120,6 +120,45 @@ class TestInvert:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_nonpositive_tbt_cap_message(self, capsys):
+        code, out, err = run(
+            capsys, "invert", "--model", "dsr1-qwen-1.5b", "--input", "512", "--budget", "1e9"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: budget exceeds the TBT-positive range of 'dsr1-qwen-1.5b' "
+            "(cap 159488 output tokens at input_len 512)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "model, input_len, budget, code, out",
+        [
+            # These two stepped by one token from a guess near 1e150 and never ended.
+            pytest.param("dsr1-llama-8b", "8192", "1e300", 1, "", id="former-hang-8b"),
+            pytest.param("dsr1-qwen-14b", str(10**25), "1e300", 1, "", id="former-hang-14b"),
+            pytest.param(
+                "dsr1-qwen-14b", "512", "1e25", 0, "max_output_tokens=4207031618950714\n",
+                id="below-2**53",
+            ),
+            # The answer, 13303802104588788, would pass 2**53.
+            pytest.param("dsr1-qwen-14b", "512", "1e26", 1, "", id="past-2**53"),
+        ],
+    )
+    def test_huge_budgets_end_in_a_fresh_process(self, model, input_len, budget, code, out):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        argv = ["invert", "--model", model, "--input", input_len, "--budget", budget]
+        proc = subprocess.run(
+            [sys.executable, "-m", "edgeperf.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+        if code:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -217,6 +256,17 @@ class TestValidate:
         )
         assert code == 1
         assert "gate" in err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_non_finite_mape_exit_1(self, capsys, tmp_path, json_flag):
+        # 0.78 s predicted against 1e-320 s measured overflows the MAPE to inf.
+        path = tmp_path / "tiny.csv"
+        path.write_text("phase,input_len,output_len,latency_s,power_w,energy_j\nprefill,128,0,1e-320,,\n")
+        code, out, err = run(
+            capsys, "validate", *json_flag, "--model", "dsr1-qwen-14b", "--data", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_malformed_data_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from edgeperf import fitting
 from edgeperf.errors import (
     DegenerateDesign,
+    DomainError,
     EdgeperfError,
     InsufficientData,
     LengthMismatch,
@@ -648,6 +649,12 @@ class TestMape:
     def test_zero_actual(self):
         with pytest.raises(ZeroActual):
             mape([1.0], [0.0])
+
+    @pytest.mark.parametrize("actual", [1e-320, math.inf, math.nan])
+    def test_non_finite_refused(self, actual):
+        # 0.3 / 1e-320 overflows to inf; inf / inf and nan give nan.
+        with pytest.raises(DomainError, match="not finite"):
+            mape([0.3], [actual])
 
 
 class TestCoefficientsToJson:

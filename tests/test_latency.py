@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeperf import latency
+from edgeperf import default_registry, latency
 from edgeperf.errors import (
     DomainError,
     InfeasibleBudget,
@@ -141,6 +142,23 @@ class TestDecodeLatency:
             with pytest.raises(NonpositiveTBT, match=f"at context {bad}$"):
                 decode_latency(profile, input_len, output_len)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.floats(-1e-14, -1e-20),
+        n=st.floats(0.01, 1.0),
+        input_len=st.integers(1, 8192),
+    )
+    def test_far_zero_matches_tbt(self, m, n, input_len):
+        # Zeros at contexts 1e12..1e20, where ceil(-n/m) is often off by
+        # rounding; the refused context must be tbt()'s first refusal.
+        profile = make_profile(m=m, n=n)
+        with pytest.raises(NonpositiveTBT) as info:
+            decode_latency(profile, input_len, 2**70)
+        bad = int(re.search(r"at context (\d+)$", str(info.value)).group(1))
+        with pytest.raises(NonpositiveTBT):
+            tbt(profile, bad)
+        assert bad == input_len or tbt(profile, bad - 1) > 0
+
 
 class TestTotalLatency:
     def test_worked_value(self, p14):
@@ -206,3 +224,48 @@ class TestMaxOutputTokens:
         budget = LatencyBudget(float("inf"))
         with pytest.raises(DomainError, match="finite"):
             max_output_tokens(p14, 512, budget)
+
+
+SHIPPED = [p for p in default_registry() if p.prefill_latency and p.decode_latency]
+
+
+class TestInversionContract:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        profile=st.one_of(
+            st.sampled_from(SHIPPED),
+            st.builds(
+                make_profile,
+                m=st.one_of(
+                    st.floats(-1e-3, -1e-300), st.floats(-1e-307, -5e-324), st.just(0.0)
+                ),
+                n=st.floats(1e-6, 1.0),
+            ),
+        ),
+        input_len=st.integers(1, 8192),
+        exponent=st.floats(-3.0, 300.0),
+    )
+    def test_answer_or_refusal_within_60_evaluations(self, profile, input_len, exponent):
+        limit = 10.0**exponent
+        prefill = prefill_latency(profile, input_len)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return decode_latency(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(latency, "decode_latency", counted)
+            try:
+                k = max_output_tokens(profile, input_len, LatencyBudget(limit))
+            except InfeasibleBudget:
+                assert limit < prefill
+                k = None
+            except (NonpositiveTBT, DomainError):
+                k = None
+        assert len(calls) <= 60
+        if k is not None:
+            assert decode_latency(profile, input_len, k) <= limit - prefill
+            assert decode_latency(profile, input_len, k + 1) > limit - prefill
+            assert total_latency(profile, input_len, k).total <= limit
+            assert total_latency(profile, input_len, k + 1).total > limit
