@@ -2,7 +2,8 @@
 
 Results go to stdout (or ``--out``), diagnostics to stderr. Exit codes:
 0 success, 1 domain error (infeasible or absent result, failed gate),
-2 usage or parse error.
+2 usage or parse error. Modules that only some handlers use are imported
+inside them, so a call loads no more of edgeperf, or numpy, than it needs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 from typing import Optional
 
-from . import energy, latency, planner, profiles
+from . import latency, profiles
 from .errors import (
     DuplicateId,
     EdgeperfError,
@@ -79,7 +80,7 @@ def _emit(result, args) -> None:
         raise _OutputFailure(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
-def _point_dict(point: planner.ConfigPoint) -> dict:
+def _point_dict(point) -> dict:
     # vars() of a dataclass lists its fields in declaration order.
     return {**vars(point), "technique": point.technique.value}
 
@@ -119,6 +120,8 @@ def _cmd_invert(args):
 
 
 def _cmd_cost(args):
+    from . import energy
+
     usage = energy.UsageSample(
         tokens=args.tokens, duration=args.duration, energy=args.energy_kwh
     )
@@ -138,13 +141,15 @@ def _cmd_cost(args):
 
 
 def _cmd_vote(args):
+    from . import planner
+
     winner = planner.majority_vote(args.answers)
     _emit({"winner": winner}, args)
     return 0
 
 
 def _cmd_validate(args):
-    from . import fitting  # imports numpy, which the other subcommands never need
+    from . import planner
 
     registry = _resolve_registry(args)
     profile = registry.get(args.model)
@@ -155,13 +160,13 @@ def _cmd_validate(args):
     decode_rows = [r for r in records if r.phase is profiles.Phase.DECODE]
     if prefill_rows:
         preds = [latency.prefill_latency(profile, r.input_len) for r in prefill_rows]
-        result["prefill_mape"] = fitting.mape(preds, [r.latency for r in prefill_rows])
+        result["prefill_mape"] = planner.mape(preds, [r.latency for r in prefill_rows])
     if decode_rows:
         preds = [
             latency.decode_latency(profile, r.input_len, r.output_len)
             for r in decode_rows
         ]
-        result["decode_mape"] = fitting.mape(preds, [r.latency for r in decode_rows])
+        result["decode_mape"] = planner.mape(preds, [r.latency for r in decode_rows])
     if not result:
         raise ParseError("no prefill or decode rows in data file")
 
@@ -193,7 +198,7 @@ def _curve_points(records, phase, y_field):
 
 
 def _cmd_fit(args):
-    from . import fitting
+    from . import fitting  # imports numpy, which no other subcommand needs
 
     records = profiles.load_measurements(args.data)
     if args.kind == "prefill-latency":
@@ -232,12 +237,14 @@ def _cmd_fit(args):
 
 
 def _cmd_plan(args):
+    from . import planner
+
     if args.table:
         points = planner.load_config_table(args.table)
     else:
         points = planner.default_config_table()
     if args.technique:
-        wanted = {planner.Technique(t) for t in args.technique}
+        wanted = {profiles.Technique(t) for t in args.technique}
         points = [p for p in points if p.technique in wanted]
 
     if args.pareto:
@@ -322,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--technique",
         action="append",
-        choices=[t.value for t in planner.Technique],
+        choices=[t.value for t in profiles.Technique],
         help="filter by technique (repeatable)",
     )
     p.add_argument("--pareto", metavar="OBJ,OBJ[,OBJ]", help="objectives from accuracy,latency,cost")

@@ -1,4 +1,4 @@
-"""Coefficient estimation from measurement records, plus MAPE scoring.
+"""Coefficient estimation from measurement records.
 
 All fits are least squares. The two latency fits (the prefill quadratic and
 the decode (m, n) pair) solve column-scaled normal equations and fall back to
@@ -28,14 +28,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesign,
-    DomainError,
-    InsufficientData,
-    LengthMismatch,
-    NoDecayDetectedWarning,
-    ZeroActual,
-)
+from .errors import DegenerateDesign, InsufficientData, NoDecayDetectedWarning
 from .latency import padded_length
 from .profiles import (
     DecodeLatencyCoeffs,
@@ -55,6 +48,17 @@ Coefficients = Union[
     "LogCurve",
     "ExpDecay",
 ]
+
+
+def __getattr__(name):
+    # fitting.mape is planner.mape, imported on first use (PEP 562): no fitter
+    # needs planner, so `fit` does not load it.
+    if name == "mape":
+        from .planner import mape
+
+        return mape
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Design-matrix condition estimate above which the normal equations are
 # abandoned for an orthogonal (SVD) solve.
@@ -217,17 +221,20 @@ def fit_log_curve(points: Sequence[tuple[float, float]], min_x: float = 1.0) -> 
 def _exp_decay(x: np.ndarray, y: np.ndarray) -> list[float]:
     """(A, lambda, C, SSE) of y = A*exp(-lambda*x) + C, fitted over arrays.
 
-    Needs at least three distinct x and every y positive. For a fixed rate,
-    (A, C) is a two-parameter linear fit in closed form; the rate is scanned
-    on ``_rate_grid()`` in one pass, then refined by golden section around
-    the best grid cell. A nonpositive best amplitude gives the constant fit,
-    with A = lambda = 0.
+    Needs every y positive. For a fixed rate, (A, C) is a two-parameter
+    linear fit in closed form; the rate is scanned on ``_rate_grid()`` in one
+    pass, then refined by golden section around the best grid cell. With two
+    distinct x every rate fits both group means exactly, and the search picks
+    one. One distinct x, or a nonpositive best amplitude, gives the constant
+    fit, with A = lambda = 0.
     """
-    distinct = len(set(x.tolist()))
-    if distinct < 3:
-        raise InsufficientData(f"need >= 3 distinct x, found {distinct}")
     if np.any(y <= 0):
         raise InsufficientData("all y values must be positive")
+    if len(set(x.tolist())) == 1:
+        # u = exp(-lambda*x) is then constant, but its rounded mean need not
+        # equal it, which would leave a spurious slope in every probe.
+        _, floor, sse = _fit_two(np.zeros_like(y), y)
+        return _finite(0.0, 0.0, floor, sse)
 
     # One golden-section probe: _fit_two's operations for one row, in the
     # same order on the same arrays, with the scalars as Python floats and
@@ -276,13 +283,16 @@ def _exp_decay(x: np.ndarray, y: np.ndarray) -> list[float]:
 
 @np.errstate(all="ignore")
 def fit_exp_decay(points: Sequence[tuple[float, float]]) -> FitResult:
-    """Fit y = A*exp(-lambda*x) + C (``_exp_decay``) over at least four points.
+    """Fit y = A*exp(-lambda*x) + C (``_exp_decay``) over >= 4 points and >= 3 distinct x.
 
     Warns when the fit collapses to the constant fit.
     """
     if len(points) < 4:
         raise InsufficientData(f"need >= 4 points, found {len(points)}")
     x = np.array([p[0] for p in points], dtype=np.float64)
+    distinct = len(set(x.tolist()))
+    if distinct < 3:
+        raise InsufficientData(f"need >= 3 distinct x, found {distinct}")
     y = np.array([p[1] for p in points], dtype=np.float64)
     amp, lam, floor, sse = _exp_decay(x, y)
     if amp == 0.0:  # only the collapse gives a zero amplitude
@@ -363,24 +373,6 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
         residual_sse=sse,
         points_used=len(pts),
     )
-
-
-def mape(predictions: Sequence[float], actuals: Sequence[float]) -> float:
-    """Mean absolute percentage error, as a percent."""
-    if len(predictions) != len(actuals):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions vs {len(actuals)} actuals"
-        )
-    if len(actuals) == 0:
-        raise LengthMismatch("empty inputs")
-    if any(a == 0 for a in actuals):
-        raise ZeroActual("an actual value is zero; percentage error undefined")
-    result = 100.0 * float(
-        np.mean([abs(p - a) / abs(a) for p, a in zip(predictions, actuals)])
-    )
-    if not math.isfinite(result):
-        raise DomainError(f"MAPE is {result}: a percentage error is not finite")
-    return result
 
 
 _SECTIONS = {

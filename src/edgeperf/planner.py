@@ -2,15 +2,17 @@
 
 Loads accuracy/latency/cost rows, computes Pareto frontiers, answers
 constrained-selection queries, aggregates parallel samples by majority vote,
-and summarizes prefill/decode phase ratios.
+summarizes prefill/decode phase ratios and scores predictions by MAPE.
 """
 
+import math
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
+from functools import reduce
 from importlib import resources
+from operator import add
 from pathlib import Path
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -18,20 +20,13 @@ from .errors import (
     DomainError,
     EmptyInput,
     InvariantViolation,
+    LengthMismatch,
+    ZeroActual,
     ZeroDecodeWarning,
     ZeroPrefill,
 )
 from .latency import LatencyBudget
-from .profiles import MeasurementRecord, Phase, Source, read_rows
-
-
-class Technique(str, Enum):
-    BASE = "base"
-    HARD_LIMIT = "hard_limit"
-    SOFT_LIMIT = "soft_limit"
-    NO_REASONING = "no_reasoning"
-    DIRECT = "direct"
-    BUDGET_AWARE = "budget_aware"
+from .profiles import MeasurementRecord, Phase, Source, Technique, read_rows
 
 
 # Objective names accepted by pareto_frontier. Accuracy is maximized; the
@@ -238,6 +233,44 @@ def phase_ratios(records: Iterable[MeasurementRecord]) -> PhaseRatios:
         token_ratio=decode_tokens / prefill_tokens,
         latency_ratio=decode_latency / prefill_latency,
     )
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """The float64 sum that ``np.mean`` divides by n, bit for bit, without numpy.
+
+    numpy's pairwise summation: a running sum below 8 values, eight
+    interleaved running sums up to 128, and above that the sums of two
+    halves split at n/2 rounded down to a multiple of 8. numpy adds the
+    result to a 0.0 start, which drops the sign of a zero; starting every
+    running sum at 0.0 does the same.
+    """
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        tail = n - n % 8
+        r = [reduce(add, values[j:tail:8], 0.0) for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[tail:], head)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def mape(predictions: Sequence[float], actuals: Sequence[float]) -> float:
+    """Mean absolute percentage error, as a percent."""
+    if len(predictions) != len(actuals):
+        raise LengthMismatch(
+            f"{len(predictions)} predictions vs {len(actuals)} actuals"
+        )
+    if len(actuals) == 0:
+        raise LengthMismatch("empty inputs")
+    if any(a == 0 for a in actuals):
+        raise ZeroActual("an actual value is zero; percentage error undefined")
+    errors = [abs(p - a) / abs(a) for p, a in zip(predictions, actuals)]
+    result = 100.0 * float(_pairwise_sum(errors) / len(errors))
+    if not math.isfinite(result):
+        raise DomainError(f"MAPE is {result}: a percentage error is not finite")
+    return result
 
 
 def builtin_config_table_path() -> Path:

@@ -39,6 +39,17 @@ class Phase(str, Enum):
     DECODE = "decode"
 
 
+class Technique(str, Enum):
+    """How a configuration row limits reasoning; planner.ConfigPoint's technique column."""
+
+    BASE = "base"
+    HARD_LIMIT = "hard_limit"
+    SOFT_LIMIT = "soft_limit"
+    NO_REASONING = "no_reasoning"
+    DIRECT = "direct"
+    BUDGET_AWARE = "budget_aware"
+
+
 class EnergyUnit(str, Enum):
     JOULES_PER_TOKEN = "joules_per_token"
     FITTED = "fitted"

@@ -1,8 +1,8 @@
-"""What importing edgeperf loads, and the names the package exports.
+"""What importing edgeperf and each CLI call load, and the names the package exports.
 
-numpy is loaded only by the fitters (and so by ``fit`` and ``validate``).
-The cold-path checks run in a fresh interpreter, because this process has
-numpy loaded already.
+numpy is loaded only by the fitters, and so only by ``fit``. The load
+checks run in fresh interpreters, because this process has loaded every
+module already.
 """
 
 import json
@@ -21,50 +21,66 @@ from edgeperf.profiles import builtin_profiles_path
 
 SRC = str(Path(edgeperf.__file__).resolve().parents[1])
 MEASUREMENTS = builtin_profiles_path().parent / "measurements"
+DATA_14B = str(MEASUREMENTS / "dsr1-qwen-14b-gpu.csv")
 
-# Every CLI call that computes without numpy, with its exit code.
-NUMPY_FREE_CALLS = [
-    (["predict", "--model", "dsr1-qwen-14b", "--input", "512", "--output", "128"], 0),
-    (["predict", "--model", "nonexistent", "--input", "1", "--output", "1"], 2),
-    (["invert", "--model", "dsr1-qwen-1.5b", "--input", "256", "--budget", "10"], 0),
-    (["cost", "--tokens", "195624", "--duration", "4358", "--energy-kwh", "0.0317"], 0),
-    (["vote", "B", "A", "B"], 0),
-    (["list-models"], 0),
-    (["plan", "--pareto", "accuracy,latency,cost"], 0),
-    (["plan", "--max-cost", "0.01"], 0),
-    (["plan", "--max-latency", "60"], 0),
-]
+# The edgeperf modules that every CLI call loads: the CLI and what it imports at its top.
+CLI_CORE = ["cli", "errors", "latency", "profiles"]
 
-# Whether numpy is loaded after `import edgeperf`, after decode_energy on each
-# branch, after total_energy and after each CLI call of argv[1], with the
-# call's exit code.
+# Every CLI call that computes without numpy, with its exit code and the
+# edgeperf modules it loads besides CLI_CORE.
+NUMPY_FREE_CALLS = {
+    "predict": (["predict", "--model", "dsr1-qwen-14b", "--input", "512", "--output", "128"], 0, []),
+    "predict-unknown": (["predict", "--model", "nonexistent", "--input", "1", "--output", "1"], 2, []),
+    "invert": (["invert", "--model", "dsr1-qwen-1.5b", "--input", "256", "--budget", "10"], 0, []),
+    "cost": (
+        ["cost", "--tokens", "195624", "--duration", "4358", "--energy-kwh", "0.0317"], 0, ["energy"]
+    ),
+    "vote": (["vote", "B", "A", "B"], 0, ["planner"]),
+    "list-models": (["list-models"], 0, []),
+    "plan-pareto": (["plan", "--pareto", "accuracy,latency,cost"], 0, ["planner"]),
+    "plan-max-cost": (["plan", "--max-cost", "0.01"], 0, ["planner"]),
+    "plan-max-latency": (["plan", "--max-latency", "60"], 0, ["planner"]),
+    "validate": (["validate", "--model", "dsr1-qwen-14b", "--data", DATA_14B], 0, ["planner"]),
+}
+FIT_CALL = (["fit", "--kind", "prefill-latency", "--data", DATA_14B], 0, ["fitting"])
+
+# Prints, as JSON, [step, exit code, numpy loaded, edgeperf modules loaded]
+# after `import edgeperf` and after each later step. With no argument the
+# steps are library calls; otherwise one CLI call with the argv in argv[1].
 CHILD = """
 import contextlib, io, json, sys
 
-import edgeperf
-from edgeperf import cli
+def report(step, code=None):
+    modules = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("edgeperf."))
+    steps.append([step, code, "numpy" in sys.modules, modules])
 
-report = [["import edgeperf", None, "numpy" in sys.modules]]
-profile = edgeperf.default_registry().get("dsr1-qwen-14b")
-edgeperf.decode_energy(profile, 512, 63)  # every position below the threshold of 64
-report.append(["decode_energy floor branch", None, "numpy" in sys.modules])
-edgeperf.decode_energy(profile, 512, 300)
-report.append(["decode_energy log branch", None, "numpy" in sys.modules])
-edgeperf.total_energy(profile, 512, 300)
-report.append(["total_energy", None, "numpy" in sys.modules])
-for argv in json.loads(sys.argv[1]):
+steps = []
+import edgeperf
+report("import edgeperf")
+if len(sys.argv) == 1:
+    profile = edgeperf.default_registry().get("dsr1-qwen-14b")
+    report("default_registry")
+    edgeperf.decode_energy(profile, 512, 63)  # every position below the threshold of 64
+    report("decode_energy floor branch")
+    edgeperf.decode_energy(profile, 512, 300)
+    report("decode_energy log branch")
+    edgeperf.total_energy(profile, 512, 300)
+    report("total_energy")
+else:
+    from edgeperf import cli
+    argv = json.loads(sys.argv[1])
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.run(argv)
-    report.append([" ".join(argv), code, "numpy" in sys.modules])
-print(json.dumps(report))
+    report(" ".join(argv), code)
+print(json.dumps(steps))
 """
 
 
-def _fresh_process_report(calls):
+def _fresh_process_report(*argv):
     env = {k: v for k, v in os.environ.items() if k != "EDGEPERF_PROFILES"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(calls)],
+        [sys.executable, "-c", CHILD, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -74,22 +90,23 @@ def _fresh_process_report(calls):
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize(
-    "numpy_call",
-    [
-        ["fit", "--kind", "prefill-latency", "--data", str(MEASUREMENTS / "dsr1-qwen-14b-gpu.csv")],
-        ["validate", "--model", "dsr1-qwen-14b", "--data", str(MEASUREMENTS / "dsr1-qwen-14b-gpu.csv")],
-    ],
-    ids=["fit", "validate"],
-)
-def test_numpy_only_where_it_computes(numpy_call):
-    calls = [argv for argv, _ in NUMPY_FREE_CALLS] + [numpy_call]
-    report = _fresh_process_report(calls)
-    library = ["import edgeperf", "decode_energy floor branch", "decode_energy log branch", "total_energy"]
-    expected = [[name, None, False] for name in library]
-    expected += [[" ".join(argv), code, False] for argv, code in NUMPY_FREE_CALLS]
-    expected.append([" ".join(numpy_call), 0, True])
-    assert report == expected
+def test_library_loads_only_what_it_computes_with():
+    assert _fresh_process_report() == [
+        ["import edgeperf", None, False, []],
+        ["default_registry", None, False, ["errors", "profiles"]],
+        ["decode_energy floor branch", None, False, ["energy", "errors", "latency", "profiles"]],
+        ["decode_energy log branch", None, False, ["energy", "errors", "latency", "profiles"]],
+        ["total_energy", None, False, ["energy", "errors", "latency", "profiles"]],
+    ]
+
+
+@pytest.mark.parametrize("call", [*NUMPY_FREE_CALLS, "fit"])
+def test_numpy_only_where_it_computes(call):
+    argv, code, modules = FIT_CALL if call == "fit" else NUMPY_FREE_CALLS[call]
+    assert _fresh_process_report(json.dumps(argv)) == [
+        ["import edgeperf", None, False, []],
+        [" ".join(argv), code, call == "fit", sorted(CLI_CORE + modules)],
+    ]
 
 
 def test_decode_energy_log_branch_value(p14):
@@ -106,7 +123,7 @@ def test_decode_energy_log_branch_value(p14):
     assert energy.decode_energy(p14, 512, 300).hex() == float(exact).hex()
 
 
-# The names `edgeperf` exported before fitting became a lazy import.
+# The names `edgeperf` exports, by a submodule whose attribute each one is.
 EXPORTS = {
     energy: [
         "CostBreakdown", "CostParams", "UsageSample", "cost_per_million_tokens",
@@ -148,10 +165,15 @@ def test_submodule_attribute(name):
     assert getattr(edgeperf, name) is sys.modules[f"edgeperf.{name}"]
 
 
+def test_all_lists_every_export():
+    assert sorted(edgeperf.__all__) == sorted(name for names in EXPORTS.values() for name in names)
+
+
 def test_from_import_and_unknown_name():
     from edgeperf import FitResult, mape
 
     assert (FitResult, mape) == (fitting.FitResult, fitting.mape)
+    assert mape is planner.mape
     assert edgeperf.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no attribute 'fit_nothing'"):
         edgeperf.fit_nothing
