@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -56,7 +57,7 @@ def _fmt(value) -> str:
 
 def _render(result, as_json: bool) -> str:
     if as_json:
-        return json.dumps(result, indent=2, sort_keys=False)
+        return json.dumps(result, indent=2, sort_keys=False, allow_nan=False)
     if isinstance(result, dict):
         return " ".join(f"{k}={_fmt(v)}" for k, v in result.items() if v is not None)
     lines = []
@@ -68,7 +69,20 @@ def _render(result, as_json: bool) -> str:
     return "\n".join(lines)
 
 
+def _all_finite(value) -> bool:
+    """False if the result holds an infinite or nan float, at any depth."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return True
+    return all(_all_finite(v) for v in value)
+
+
 def _emit(result, args) -> None:
+    if not _all_finite(result):
+        raise _DomainFailure("the result is not finite; an argument is out of range")
     text = _render(result, args.json)
     if not args.out:
         print(text)

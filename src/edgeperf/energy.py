@@ -12,7 +12,7 @@ from .errors import (
     MissingCoefficient,
     UnitUndeclared,
 )
-from .latency import _decode_domain, decode_latency
+from .latency import _DECODE_TOO_LARGE, _decode_domain, decode_latency
 from .profiles import (
     EnergyUnit,
     ModelProfile,
@@ -199,15 +199,18 @@ def decode_energy(profile: ModelProfile, input_len: int, output_len: int) -> flo
     a = max(math.ceil(model.threshold), 1)
     o = output_len
     alpha = model.log_alpha / _LN10 if model.log10 else model.log_alpha
-    sum_ln = math.lgamma(o + 1) - math.lgamma(a)
-    sum_p_ln = _ln_hyperfactorial(o) - _ln_hyperfactorial(a - 1)
-    sum_p = (o * (o + 1) - (a - 1) * a) // 2
-    floor = model.floor_watts * ((a - 1) * c0 + m * ((a - 1) * a // 2))
-    return (
-        floor
-        + alpha * (c0 * sum_ln + m * sum_p_ln)
-        + model.log_beta * (c0 * (o - a + 1) + m * sum_p)
-    )
+    try:
+        sum_ln = math.lgamma(o + 1) - math.lgamma(a)
+        sum_p_ln = _ln_hyperfactorial(o) - _ln_hyperfactorial(a - 1)
+        sum_p = (o * (o + 1) - (a - 1) * a) // 2
+        floor = model.floor_watts * ((a - 1) * c0 + m * ((a - 1) * a // 2))
+        return (
+            floor
+            + alpha * (c0 * sum_ln + m * sum_p_ln)
+            + model.log_beta * (c0 * (o - a + 1) + m * sum_p)
+        )
+    except OverflowError:  # an integer term past the float range
+        raise DomainError(_DECODE_TOO_LARGE) from None
 
 
 def total_energy(profile: ModelProfile, input_len: int, output_len: int) -> float:

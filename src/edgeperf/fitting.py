@@ -16,6 +16,15 @@ which halves its cost. ``_exp_decay`` works on arrays, and both
 ``fit_exp_decay`` and the decay branch of ``fit_piecewise`` call it. No
 public fitter calls another.
 
+``fit_piecewise(kind="energy")`` skips every decay fit that cannot win. A
+decay fit is non-increasing in x, so its SSE is at least that of the best
+non-increasing fit of the same points, which one pool-adjacent-violators
+pass gives for every prefix (``_nonincreasing_sse``, shrunk by a margin for
+rounding). A candidate whose bound plus its log SSE cannot beat the best so
+far is skipped; the bound is used only for x >= 0 and y <= 1e100, where no
+decay fit can overflow. Every fit that runs is the same, so the result is
+bit-identical to the full scan, with about half the decay fits.
+
 Every coefficient and SSE is returned as a finite plain ``float``; a fit that
 would be non-finite raises ``DegenerateDesign`` instead.
 """
@@ -308,6 +317,38 @@ def fit_exp_decay(points: Sequence[tuple[float, float]]) -> FitResult:
     )
 
 
+def _nonincreasing_sse(xs: list[float], ys: list[float]) -> list[float]:
+    """Lower bounds on the SSE of any non-increasing fit of y on x, per prefix.
+
+    Entry n bounds the first n points, for n up to the first y <= 0. The
+    pool-adjacent-violators algorithm keeps the blocks of the best such fit
+    as (sum, count); equal x share a block. Each merge adds its non-negative
+    SSE increment c1*c2/(c1+c2) * (mean1 - mean2)**2, which avoids the
+    cancellation of sum(y**2) - sum(block sum**2 / count). Each entry is
+    shrunk by n*(1e-9*SSE + 1e-13*n*sum(y**2)) + 1e-300, which covers the
+    rounding of the block means and of the sums here and in the fit.
+    """
+    bounds, blocks = [0.0], []
+    sse = sum_y2 = 0.0
+    last_x = None
+    for x, y in zip(xs, ys):
+        if not y > 0:
+            break
+        total, count = y, 1
+        tied = x == last_x
+        while blocks and (tied or blocks[-1][0] / blocks[-1][1] < total / count):
+            prev_total, prev_count = blocks.pop()
+            gap = prev_total / prev_count - total / count
+            sse += prev_count * count / (prev_count + count) * (gap * gap)
+            total, count, tied = total + prev_total, count + prev_count, False
+        blocks.append((total, count))
+        sum_y2 += y * y
+        last_x = x
+        n = len(bounds)
+        bounds.append(sse - n * (1e-9 * sse + 1e-13 * n * sum_y2) - 1e-300)
+    return bounds
+
+
 @np.errstate(all="ignore")
 def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult:
     """Fit a two-regime model, selecting the breakpoint by combined SSE.
@@ -319,6 +360,27 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     can fit; equal SSE prefers the smaller breakpoint. When the left branch
     alone fits every point no worse, it is returned with an infinite
     threshold and no log branch.
+
+    The energy scan is branch and bound (Land and Doig 1960). Each candidate's
+    log fit comes first, and its decay fit is skipped when bound[n] + the log
+    SSE cannot pass the ``< best - 1e-15`` test; the single-branch decay fit
+    is skipped when bound[N] > best + 1e-15. bound[n], from
+    ``_nonincreasing_sse``, is the SSE of the best non-increasing fit of the
+    n smallest x (Barlow et al. 1972), less a margin for rounding. Every
+    decay fit is non-increasing in x: A > 0 with lambda > 0, or the constant
+    fit. Its rounded fitted values are too, since exp and rounding are
+    monotone, so its SSE is at least bound[n]. The result is bit-identical
+    to the full scan:
+
+    - rounded addition is monotone, so a skipped candidate could not have won;
+    - the scan order, the tie rule and the order of exceptions are kept: the
+      decay fit raises before ``_finite`` checks the log fit, which still
+      runs for a skipped candidate;
+    - the bound is used only when every x >= 0 and every y <= 1e100. Then
+      u = exp(-lambda*x) is in [0, 1], and a probe's p*u and q stay below
+      about 2**54 * sqrt(n) * max(y) in size, so no decay fit over a
+      positive prefix overflows: a skipped fit hides no ``DegenerateDesign``;
+    - every fit that is not skipped runs exactly as before.
     """
     if kind not in ("power", "energy"):
         raise ValueError(f"kind must be 'power' or 'energy', got {kind!r}")
@@ -338,6 +400,12 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
         amp, lam, floor, sse = _exp_decay(xs[:n], ys[:n])
         return sse, {"exp_A": amp, "exp_lambda": lam, "exp_C": floor}
 
+    # bound[n] <= the SSE of every decay fit over the n smallest x, for each n
+    # below len(bound); empty where a skipped fit could have raised.
+    bound = []
+    if kind == "energy" and np.all(xs >= 0) and np.all(ys <= 1e100):
+        bound = _nonincreasing_sse(xs.tolist(), ys.tolist())
+
     best = None  # (sse, threshold, left fields, right fields)
     # n points on the left, x <= bp, and at least three on the right.
     for n in range(min_left, len(xs) - 2):
@@ -345,23 +413,28 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
         # bp must end its run of equal x; the right needs two distinct x > 0.
         if bp == xs[n] or xs[n] == xs[-1] or xs[n] <= 0:
             continue
+        right = _fit_two(log_xs[n:], ys[n:])
+        if best is not None and n < len(bound) and not bound[n] + right[2] < best[0] - 1e-15:
+            _finite(*right)  # a non-finite log fit still raises, as after the decay fit
+            continue
         try:
             sse_l, left = left_fit(n)
         except InsufficientData:
             continue
-        alpha, beta, sse_r = _finite(*_fit_two(log_xs[n:], ys[n:]))
+        alpha, beta, sse_r = _finite(*right)
         sse = sse_l + sse_r
         if best is None or sse < best[0] - 1e-15:
             best = (sse, bp, left, {"log_alpha": alpha, "log_beta": beta})
 
     # Single-branch alternative over the whole domain; it may not fit
     # (a decay needs every y > 0) when a breakpoint does.
-    try:
-        single = left_fit(len(xs))
-    except InsufficientData:
-        if best is None:
-            raise
-        single = None
+    single = None
+    if best is None or len(xs) >= len(bound) or bound[len(xs)] <= best[0] + 1e-15:
+        try:
+            single = left_fit(len(xs))
+        except InsufficientData:
+            if best is None:
+                raise
     if single is not None and (best is None or single[0] <= best[0] + 1e-15):
         best = (single[0], math.inf, single[1], {})
 

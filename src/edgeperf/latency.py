@@ -58,7 +58,10 @@ def prefill_latency(profile: ModelProfile, input_len: int) -> float:
     """Seconds to process the prompt: a*I_pad^2 + b*I_pad + c."""
     coeffs = _prefill_coeffs(profile)
     ipad = padded_length(input_len)
-    return coeffs.a * ipad * ipad + coeffs.b * ipad + coeffs.c
+    try:
+        return coeffs.a * ipad * ipad + coeffs.b * ipad + coeffs.c
+    except OverflowError:  # ipad is past the float range
+        raise DomainError("input_len is too large for the prefill closed form") from None
 
 
 def tbt(profile: ModelProfile, context_len: int) -> float:
@@ -98,6 +101,12 @@ def _tbt_zero(m: float, n: float, lo: int, hi: int) -> int | None:
     return _first(lambda x: m * x + n <= 0.0, lo, hi)
 
 
+# Integer arguments past the float range raise OverflowError in the closed
+# forms. The messages name the arguments: str() refuses an int of over 4300
+# digits.
+_DECODE_TOO_LARGE = "input_len or output_len is too large for the decode closed form"
+
+
 def _decode_domain(profile: ModelProfile, input_len: int, output_len: int) -> DecodeLatencyCoeffs:
     """The decode coefficients, once I >= 1, O >= 0 and the TBT of every
     context in [I, I+O-1] is positive; else tbt() raises at the first."""
@@ -108,8 +117,11 @@ def _decode_domain(profile: ModelProfile, input_len: int, output_len: int) -> De
         raise DomainError(f"output_len must be >= 0, got {output_len}")
     m, n = coeffs.m, coeffs.n
     least = input_len if m >= 0 else input_len + output_len - 1  # where TBT is least
-    if output_len and m * least + n <= 0:
-        tbt(profile, _tbt_zero(m, n, input_len, input_len + output_len - 1))
+    try:
+        if output_len and m * least + n <= 0:
+            tbt(profile, _tbt_zero(m, n, input_len, input_len + output_len - 1))
+    except OverflowError:  # a context past the float range
+        raise DomainError(_DECODE_TOO_LARGE) from None
     return coeffs
 
 
@@ -122,7 +134,10 @@ def decode_latency(profile: ModelProfile, input_len: int, output_len: int) -> fl
     """
     coeffs = _decode_domain(profile, input_len, output_len)
     o = output_len
-    return coeffs.n * o + coeffs.m * (input_len * o + o * (o - 1) / 2)
+    try:
+        return coeffs.n * o + coeffs.m * (input_len * o + o * (o - 1) / 2)
+    except OverflowError:  # an integer term past the float range
+        raise DomainError(_DECODE_TOO_LARGE) from None
 
 
 def total_latency(profile: ModelProfile, input_len: int, output_len: int) -> LatencyBreakdown:

@@ -11,7 +11,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from importlib import resources
 from operator import add
 from pathlib import Path
 from typing import Hashable, Iterable, Optional, Sequence
@@ -274,7 +273,7 @@ def mape(predictions: Sequence[float], actuals: Sequence[float]) -> float:
 
 
 def builtin_config_table_path() -> Path:
-    return Path(resources.files("edgeperf").joinpath("data/mmlu_redux_configs.csv"))
+    return Path(__file__).parent / "data" / "mmlu_redux_configs.csv"
 
 
 def default_config_table() -> list[ConfigPoint]:

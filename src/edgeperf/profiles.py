@@ -16,7 +16,6 @@ import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Callable, Iterator, NamedTuple, Optional, Union
@@ -550,7 +549,7 @@ _default_registry: Optional[ProfileRegistry] = None
 
 
 def builtin_profiles_path() -> Path:
-    return Path(resources.files("edgeperf").joinpath("data/profiles.json"))
+    return Path(__file__).parent / "data" / "profiles.json"
 
 
 def default_registry() -> ProfileRegistry:

@@ -160,6 +160,50 @@ class TestInvert:
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+BIG = str(10**400)  # past the float range
+LARGE = str(10**200)  # a float, but its square and I_pad**2 are not
+
+
+class TestOutOfRangeArguments:
+    """Integers past the float range, and results that would not be finite: exit 1, one line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["predict", "--model", "dsr1-qwen-14b", "--input", "512", "--output", BIG], "decode"),
+            (["predict", "--model", "dsr1-qwen-14b", "--input", "512", "--output", LARGE], "decode"),
+            (["predict", "--model", "dsr1-qwen-1.5b", "--input", "512", "--output", BIG], "decode"),
+            (["predict", "--model", "dsr1-qwen-14b", "--input", BIG, "--output", "1"], "prefill"),
+            (["invert", "--model", "dsr1-qwen-14b", "--input", BIG, "--budget", "10"], "prefill"),
+            (["invert", "--model", "dsr1-qwen-1.5b", "--input", BIG, "--budget", "1e300"], "prefill"),
+        ],
+    )
+    def test_integer_past_the_float_range(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: input_len") and err.count("\n") == 1, err
+        assert f"for the {message} closed form" in err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a * I_pad**2 overflows to inf where I_pad itself is a float.
+            ["predict", "--model", "dsr1-qwen-14b", "--input", LARGE, "--output", "1"],
+            ["cost", "--tokens", "1", "--duration", "1e308", "--energy-kwh", "1e308", "--electricity", "10"],
+        ],
+        ids=["predict", "cost"],
+    )
+    def test_infinite_result(self, capsys, argv, json_flag):
+        code, out, err = run(capsys, *argv, *json_flag)
+        assert (code, out) == (1, "")
+        assert err == "error: the result is not finite; an argument is out of range\n"
+
+    def test_json_rendering_refuses_nan(self):
+        with pytest.raises(ValueError):
+            cli._render({"total": float("inf")}, as_json=True)
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "teleport")

@@ -221,6 +221,11 @@ class TestDecodeEnergy:
         with pytest.raises(DomainError, match=f"^input_len must be >= 1, got {input_len}$"):
             decode_energy(p14, input_len, output_len)
 
+    @pytest.mark.parametrize("output_len", [10**200, 10**400])
+    def test_integers_past_the_float_range(self, p14, output_len):
+        with pytest.raises(DomainError, match="too large for the decode closed form$"):
+            decode_energy(p14, 512, output_len)
+
 
 class TestTotalEnergy:
     def test_prefill_only_worked_value(self, p15):

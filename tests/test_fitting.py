@@ -32,7 +32,7 @@ from edgeperf.fitting import (
     fit_prefill_latency,
     mape,
 )
-from edgeperf.energy import piecewise_energy_value
+from edgeperf.energy import piecewise_energy_value, piecewise_power_value
 from edgeperf.latency import padded_length
 from edgeperf.profiles import (
     DecodeLatencyCoeffs,
@@ -376,6 +376,72 @@ class TestGoldenFile:
         assert golden_fits(decay_then_log_curve(seed)) == golden[str(seed)]
 
 
+JUMP_GOLDEN_FITS = Path(__file__).parent / "data" / "piecewise_jump_golden.json"
+
+
+def _logint(rng, lo, hi):
+    return min(hi, max(lo, round(math.exp(rng.uniform(math.log(lo), math.log(hi))))))
+
+
+def jump_curve(seed):
+    """A curve drawn as the benchmark's piecewise fit ops draw theirs, seeded.
+
+    The truth is a shipped profile's prefill energy (even seeds) or decode
+    power (odd seeds), with the jump its two branches make at the threshold;
+    8-60 points, x log-uniform on each side (small x repeat), 3% lognormal
+    noise, unsorted.
+    """
+    rng = random.Random(9100 + seed)
+    n = rng.randint(8, 60)
+    profiles = list(default_registry())
+    if seed % 2 == 0:
+        model = rng.choice([p.prefill_energy for p in profiles if math.isfinite(p.prefill_energy.threshold)])
+        last_left, min_left = int(model.threshold), 5
+
+        def truth(x):
+            return piecewise_energy_value(model, x)
+    else:
+        model = rng.choice(profiles).decode_power
+        last_left, min_left = int(model.threshold) - 1, 4
+
+        def truth(x):
+            return piecewise_power_value(model, x, inclusive=False)
+    n_left = min(max(min_left, round(n * rng.uniform(0.3, 0.6))), n - 4)
+    while True:
+        left = [_logint(rng, 1, last_left) for _ in range(n_left)]
+        right = [_logint(rng, last_left + 1, 8192) for _ in range(n - n_left)]
+        if len(set(right)) >= 2:
+            break
+    return [(float(x), truth(x) * math.exp(rng.gauss(0.0, 0.03))) for x in left + right]
+
+
+def piecewise_outcome(fit, points, kind):
+    """("ok", float.hex of every float field and the SSE) or (error type, message)."""
+    try:
+        result = fit(points, kind)
+    except EdgeperfError as exc:
+        return type(exc).__name__, str(exc)
+    values = [v for v in vars(result.coefficients).values() if isinstance(v, float)]
+    return "ok", [v.hex() for v in values + [result.residual_sse]]
+
+
+def piecewise_bits(points):
+    """The outcome of both piecewise fits, as the golden file holds it."""
+    return {kind: list(piecewise_outcome(fit_piecewise, points, kind)) for kind in ("energy", "power")}
+
+
+class TestJumpGoldenFile:
+    """Bits of both piecewise fits on jump curves, recorded before the breakpoint scan was pruned."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(JUMP_GOLDEN_FITS.read_text())
+
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    def test_bit_identical(self, golden, seed):
+        assert piecewise_bits(jump_curve(seed)) == golden[str(seed)]
+
+
 def _exp_decay_reference(x, y):
     """``fitting._exp_decay`` with one full ``_fit_two`` per probe, the form it must match bit for bit."""
     if np.any(y <= 0):
@@ -501,6 +567,125 @@ SEEDED_ENERGY_CURVES = {
         (1191, 0.013700091896957561), (4403, 0.03072812633235286),
     ]),
 }
+
+
+@np.errstate(all="ignore")
+def _piecewise_reference(points, kind):
+    """``fit_piecewise`` with every breakpoint's fits run, the scan its pruning must match bit for bit."""
+    pts = sorted(points)
+    xs = np.array([p[0] for p in pts], dtype=np.float64)
+    ys = np.array([p[1] for p in pts], dtype=np.float64)
+    log_xs = np.log(xs)
+
+    def left_fit(n):
+        if kind == "power":
+            _, floor, sse = fitting._finite(*fitting._fit_two(np.zeros(n), ys[:n]))
+            return sse, {"floor_watts": floor}
+        amp, lam, floor, sse = fitting._exp_decay(xs[:n], ys[:n])
+        return sse, {"exp_A": amp, "exp_lambda": lam, "exp_C": floor}
+
+    best = None
+    for n in range(4 if kind == "energy" else 3, len(xs) - 2):
+        bp = float(xs[n - 1])
+        if bp == xs[n] or xs[n] == xs[-1] or xs[n] <= 0:
+            continue
+        try:
+            sse_l, left = left_fit(n)
+        except InsufficientData:
+            continue
+        alpha, beta, sse_r = fitting._finite(*fitting._fit_two(log_xs[n:], ys[n:]))
+        if best is None or sse_l + sse_r < best[0] - 1e-15:
+            best = (sse_l + sse_r, bp, left, {"log_alpha": alpha, "log_beta": beta})
+    try:
+        single = left_fit(len(xs))
+    except InsufficientData:
+        if best is None:
+            raise
+        single = None
+    if single is not None and (best is None or single[0] <= best[0] + 1e-15):
+        best = (single[0], math.inf, single[1], {})
+    sse, threshold, left, right = best
+    (sse,) = fitting._finite(sse)
+    model = PiecewisePowerModel if kind == "power" else PiecewiseEnergyModel
+    return fitting.FitResult(model(threshold=threshold, **left, **right), sse, len(pts))
+
+
+@st.composite
+def piecewise_points(draw):
+    """6-30 points: decay-like or arbitrary y at scales from 1e-300 to 1e300,
+    left sides with negative, tied, huge or only two distinct x, an occasional y <= 0."""
+    n_left, n_right = draw(st.integers(2, 14)), draw(st.integers(4, 16))
+    left_xs = draw(
+        st.one_of(
+            st.lists(st.sampled_from([2.0, 7.0]), min_size=n_left, max_size=n_left),
+            st.lists(st.integers(-40, 40).map(float), min_size=n_left, max_size=n_left),
+            st.lists(st.floats(0.0, 500.0), min_size=n_left, max_size=n_left),
+            st.lists(st.floats(0.0, 1e300), min_size=n_left, max_size=n_left),
+        )
+    )
+    right_xs = draw(
+        st.lists(
+            st.one_of(st.integers(500, 510).map(float), st.floats(500.0, 5000.0)),
+            min_size=n_right,
+            max_size=n_right,
+        )
+    )
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-300, 1e100, 1e101, 1e300]))
+    decay = draw(st.booleans())
+    points = []
+    for x in left_xs + right_xs:
+        y = draw(st.floats(0.5, 2.0)) * (math.exp(-min(abs(x), 500.0) / 60.0) + 0.05 if decay else 1.0)
+        if draw(st.integers(0, 19)) == 0:
+            y = -y
+        points.append((x, y * scale))
+    return points
+
+
+class TestPiecewisePruning:
+    """The pruned breakpoint scan against the full one it replaced."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(piecewise_points(), st.sampled_from(["energy", "power"]))
+    def test_same_outcome_as_the_full_scan(self, points, kind):
+        assert piecewise_outcome(fit_piecewise, points, kind) == piecewise_outcome(
+            _piecewise_reference, points, kind
+        )
+
+    def test_the_bound_skips_decay_fits(self, monkeypatch):
+        calls = []
+
+        def counted(x, y):
+            calls.append(len(x))
+            return decay(x, y)
+
+        decay = fitting._exp_decay
+        monkeypatch.setattr(fitting, "_exp_decay", counted)
+        points = jump_curve(8)
+        want = _piecewise_reference(points, "energy")
+        full, calls[:] = list(calls), []
+        assert fit_piecewise(points, "energy") == want
+        # 43 candidates and the single-branch fit over all 50 points, of
+        # which the bound lets 14 left fits run, not the single-branch one.
+        assert (len(points), len(full), len(calls)) == (50, 44, 14)
+        assert 50 in full and 50 not in calls
+
+    def test_the_bound_is_not_above_any_decay_fit(self):
+        points = sorted(jump_curve(8))
+        xs = np.array([p[0] for p in points])
+        ys = np.array([p[1] for p in points])
+        bound = fitting._nonincreasing_sse(xs.tolist(), ys.tolist())
+        assert len(bound) == len(points) + 1
+        for n in range(4, len(points) + 1):
+            if n == len(points) or xs[n - 1] != xs[n]:
+                assert bound[n] <= fitting._exp_decay(xs[:n], ys[:n])[3]
+        # Prefixes stop at the first y <= 0, where a decay fit raises.
+        assert len(fitting._nonincreasing_sse([1.0, 2.0, 3.0], [3.0, -1.0, 2.0])) == 2
+
+    def test_exp_is_monotone(self):
+        # The bound holds because exp(-lambda*x) never rises along sorted x.
+        t = np.sort(np.random.default_rng(5).uniform(-746.0, 0.0, 100_000))
+        assert np.all(np.exp(t) <= np.exp(np.nextafter(t, 0.0)))
+        assert np.all(np.diff(np.exp(t)) >= 0)
 
 
 class TestFitPiecewise:

@@ -176,6 +176,19 @@ class TestTotalLatency:
         assert breakdown.decode == 0.0
         assert breakdown.total == breakdown.prefill
 
+    @pytest.mark.parametrize(
+        "model, input_len, output_len, form",
+        [
+            ("dsr1-qwen-14b", 10**400, 1, "prefill"),
+            ("dsr1-qwen-14b", 512, 10**400, "decode"),  # n*O
+            ("dsr1-qwen-14b", 512, 10**200, "decode"),  # O*(O-1)/2
+            ("dsr1-qwen-1.5b", 512, 10**400, "decode"),  # m*(I+O-1) in the TBT check
+        ],
+    )
+    def test_integers_past_the_float_range(self, registry, model, input_len, output_len, form):
+        with pytest.raises(DomainError, match=f"too large for the {form} closed form$"):
+            total_latency(registry.get(model), input_len, output_len)
+
 
 class TestMaxOutputTokens:
     def test_worked_case_14b(self, p14):
