@@ -139,9 +139,9 @@ def _cmd_cost(args):
     usage = energy.UsageSample(
         tokens=args.tokens, duration=args.duration, energy=args.energy_kwh
     )
-    params = energy.CostParams(
-        electricity=args.electricity, hardware_rate=args.hardware_rate
-    )
+    # A price left out takes its CostParams default.
+    prices = {"electricity": args.electricity, "hardware_rate": args.hardware_rate}
+    params = energy.CostParams(**{k: v for k, v in prices.items() if v is not None})
     breakdown = energy.cost_per_million_tokens(usage, params)
     _emit(
         {
@@ -334,8 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", type=int, required=True)
     p.add_argument("--duration", type=float, required=True, help="seconds")
     p.add_argument("--energy-kwh", type=float, required=True)
-    p.add_argument("--electricity", type=float, default=0.15, help="$/kWh")
-    p.add_argument("--hardware-rate", type=float, default=0.045, help="$/hour")
+    p.add_argument("--electricity", type=float, help="$/kWh")
+    p.add_argument("--hardware-rate", type=float, help="$/hour")
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("plan", parents=[common], help="query a configuration table")

@@ -99,13 +99,19 @@ def prefill_power(profile: ModelProfile, input_len: int) -> float:
     return piecewise_power_value(profile.prefill_power, input_len)
 
 
+_PREFILL_TOO_LARGE = "input_len is too large for the prefill energy model"
+
+
 def prefill_energy_per_token(profile: ModelProfile, input_len: int) -> float:
     """Fitted-unit energy per prompt token at the given input length."""
     if profile.prefill_energy is None:
         raise MissingCoefficient(profile.id, "prefill_energy")
     if input_len < 1:
         raise DomainError(f"input_len must be >= 1, got {input_len}")
-    return piecewise_energy_value(profile.prefill_energy, input_len)
+    try:
+        return piecewise_energy_value(profile.prefill_energy, input_len)
+    except OverflowError:  # input_len is past the float range
+        raise DomainError(_PREFILL_TOO_LARGE) from None
 
 
 def decode_power(profile: ModelProfile, output_pos: int) -> float:
@@ -180,14 +186,11 @@ def decode_energy(profile: ModelProfile, input_len: int, output_len: int) -> flo
     and the power is near zero just past the threshold.
 
     Raises NonpositiveTBT, through tbt(), at the first context of
-    [I, I+O-1] whose TBT is <= 0.
+    [I, I+O-1] whose TBT is <= 0. The arguments are checked where the
+    decode latency is, so any O, 0 included, raises what decode_latency does.
     """
     if profile.decode_power is None:
         raise MissingCoefficient(profile.id, "decode_power")
-    if output_len < 0:
-        raise DomainError(f"output_len must be >= 0, got {output_len}")
-    if output_len == 0:
-        return 0.0
     model = profile.decode_power
     if output_len < model.threshold:
         # All positions in the constant regime: power factors out of the sum.
@@ -226,7 +229,10 @@ def total_energy(profile: ModelProfile, input_len: int, output_len: int) -> floa
             f"profile {profile.id!r} does not declare joules-per-token for its "
             "prefill energy fit"
         )
-    prefill_joules = prefill_energy_per_token(profile, input_len) * input_len
+    try:
+        prefill_joules = prefill_energy_per_token(profile, input_len) * input_len
+    except OverflowError:  # input_len is past the float range
+        raise DomainError(_PREFILL_TOO_LARGE) from None
     return prefill_joules + decode_energy(profile, input_len, output_len)
 
 

@@ -20,12 +20,17 @@ class DuplicateId(EdgeperfError):
 
 
 class InvariantViolation(EdgeperfError):
-    """A typed value violates one of its declared invariants."""
+    """A typed value violates one of its declared invariants. Carries the
+    data-file line of the offending row when known."""
 
-    def __init__(self, field, rule):
+    def __init__(self, field, rule, line=None):
         self.field = field
         self.rule = rule
-        super().__init__(f"{field}: {rule}")
+        self.line = line
+        message = f"{field}: {rule}"
+        if line is not None:
+            message = f"{message} (line {line})"
+        super().__init__(message)
 
 
 class UnknownModel(EdgeperfError):

@@ -54,15 +54,7 @@ class EnergyUnit(str, Enum):
     FITTED = "fitted"
 
 
-@dataclass(frozen=True)
-class Issue:
-    """One validation finding: which field, which rule it breaks."""
-
-    field: str
-    rule: str
-
-    def __str__(self):
-        return f"{self.field}: {self.rule}"
+_LOG_BRANCH_REQUIRED = "log branch parameters required for finite threshold"
 
 
 @dataclass(frozen=True)
@@ -73,12 +65,12 @@ class PrefillLatencyCoeffs:
     b: float  # seconds per token
     c: float  # seconds
 
-    def issues(self) -> list[Issue]:
+    def issues(self) -> list[InvariantViolation]:
         out = []
         if not self.a > 0:
-            out.append(Issue("prefill_latency.a", "a must be > 0"))
+            out.append(InvariantViolation("prefill_latency.a", "a must be > 0"))
         if self.c < 0:
-            out.append(Issue("prefill_latency.c", "c must be >= 0"))
+            out.append(InvariantViolation("prefill_latency.c", "c must be >= 0"))
         return out
 
 
@@ -92,17 +84,13 @@ class DecodeLatencyCoeffs:
     # Context range over which TBT positivity is required by validation.
     MAX_CONTEXT = 8192
 
-    def issues(self) -> list[Issue]:
+    def issues(self) -> list[InvariantViolation]:
         out = []
         if not self.n > 0:
-            out.append(Issue("decode_latency.n", "n must be > 0"))
+            out.append(InvariantViolation("decode_latency.n", "n must be > 0"))
         elif self.n + self.m * self.MAX_CONTEXT <= 0:
-            out.append(
-                Issue(
-                    "decode_latency.m",
-                    f"TBT nonpositive within context range [1, {self.MAX_CONTEXT}]",
-                )
-            )
+            rule = f"TBT nonpositive within context range [1, {self.MAX_CONTEXT}]"
+            out.append(InvariantViolation("decode_latency.m", rule))
         return out
 
 
@@ -123,18 +111,16 @@ class PiecewisePowerModel:
     log_beta: Optional[float] = None  # watts
     log10: bool = False  # natural log unless explicitly refitted in log10
 
-    def issues(self) -> list[Issue]:
+    def issues(self) -> list[InvariantViolation]:
         out = []
         if not self.floor_watts > 0:
-            out.append(Issue("power.floor_watts", "floor_watts must be > 0"))
+            out.append(InvariantViolation("power.floor_watts", "floor_watts must be > 0"))
         if self.threshold < 0:
-            out.append(Issue("power.threshold", "threshold must be >= 0"))
+            out.append(InvariantViolation("power.threshold", "threshold must be >= 0"))
         if math.isfinite(self.threshold) and (
             self.log_alpha is None or self.log_beta is None
         ):
-            out.append(
-                Issue("power.log_alpha", "log branch parameters required for finite threshold")
-            )
+            out.append(InvariantViolation("power.log_alpha", _LOG_BRANCH_REQUIRED))
         return out
 
 
@@ -159,24 +145,21 @@ class PiecewiseEnergyModel:
     log_beta: Optional[float] = None
     log10: bool = False
 
-    def issues(self) -> list[Issue]:
+    def issues(self) -> list[InvariantViolation]:
         out = []
         if self.threshold < 0:
-            out.append(Issue("energy.threshold", "threshold must be >= 0"))
+            out.append(InvariantViolation("energy.threshold", "threshold must be >= 0"))
         if self.threshold > 0:
             if self.exp_A is None or self.exp_lambda is None or self.exp_C is None:
-                out.append(
-                    Issue("energy.exp_A", "decay branch parameters required for threshold > 0")
-                )
+                rule = "decay branch parameters required for threshold > 0"
+                out.append(InvariantViolation("energy.exp_A", rule))
             else:
                 if self.exp_lambda < 0:
-                    out.append(Issue("energy.exp_lambda", "exp_lambda must be >= 0"))
+                    out.append(InvariantViolation("energy.exp_lambda", "exp_lambda must be >= 0"))
                 if self.exp_C < 0:
-                    out.append(Issue("energy.exp_C", "exp_C must be >= 0"))
+                    out.append(InvariantViolation("energy.exp_C", "exp_C must be >= 0"))
         if self.threshold < math.inf and (self.log_alpha is None or self.log_beta is None):
-            out.append(
-                Issue("energy.log_alpha", "log branch parameters required for finite threshold")
-            )
+            out.append(InvariantViolation("energy.log_alpha", _LOG_BRANCH_REQUIRED))
         return out
 
 
@@ -191,18 +174,18 @@ class MeasurementRecord:
     power: Optional[float] = field(default=None, metadata={"key": "power_w"})  # watts
     energy: Optional[float] = field(default=None, metadata={"key": "energy_j"})  # joules
 
-    def issues(self) -> list[Issue]:
+    def issues(self) -> list[InvariantViolation]:
         out = []
         if self.input_len < 1:
-            out.append(Issue("measurement.input_len", "input_len must be >= 1"))
+            out.append(InvariantViolation("measurement.input_len", "input_len must be >= 1"))
         if self.output_len < 0:
-            out.append(Issue("measurement.output_len", "output_len must be >= 0"))
+            out.append(InvariantViolation("measurement.output_len", "output_len must be >= 0"))
         if not self.latency > 0:
-            out.append(Issue("measurement.latency", "latency must be > 0"))
+            out.append(InvariantViolation("measurement.latency", "latency must be > 0"))
         if self.power is not None and not self.power > 0:
-            out.append(Issue("measurement.power", "power must be > 0 when present"))
+            out.append(InvariantViolation("measurement.power", "power must be > 0 when present"))
         if self.energy is not None and not self.energy > 0:
-            out.append(Issue("measurement.energy", "energy must be > 0 when present"))
+            out.append(InvariantViolation("measurement.energy", "energy must be > 0 when present"))
         return out
 
 
@@ -220,12 +203,12 @@ class ModelProfile:
     decode_power: Optional[PiecewisePowerModel] = None
     decode_energy: Optional[PiecewiseEnergyModel] = None
 
-    def issues(self) -> list[Issue]:
+    def issues(self) -> list[InvariantViolation]:
         out = []
         if not self.id:
-            out.append(Issue("profile.id", "id must be non-empty"))
+            out.append(InvariantViolation("profile.id", "id must be non-empty"))
         if not self.param_count > 0:
-            out.append(Issue("profile.param_count", "param_count must be > 0"))
+            out.append(InvariantViolation("profile.param_count", "param_count must be > 0"))
         for name in self.capabilities():
             out.extend(getattr(self, name).issues())
         return out
@@ -416,7 +399,8 @@ def read_rows(source: Source, cls, what: str) -> Iterator[tuple[int, object]]:
 
     The header names the fields' columns in field order. Each cell is
     stripped and parsed by its field's type; an empty cell means the field's
-    default. ``what`` names the table in errors.
+    default. ``what`` names the table in errors. An InvariantViolation that a
+    record raises when it is built is raised again with the row's line.
     """
     schema = _schema(cls)
     header = [f.key for f in schema]
@@ -439,9 +423,12 @@ def read_rows(source: Source, cls, what: str) -> Iterator[tuple[int, object]]:
             for (name, parse, required), cell in zip(columns, cells):
                 if cell or required:
                     values[name] = parse(cell)
+            record = cls(**values)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        yield lineno, cls(**values)
+        except InvariantViolation as exc:  # a record that checks itself when built
+            raise InvariantViolation(exc.field, exc.rule, line=lineno) from None
+        yield lineno, record
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +460,7 @@ def load_profiles(source: Source) -> ProfileRegistry:
         profile = _from_json(ModelProfile, entry, f"profiles[{i}]")
         bad = profile.issues()
         if bad:
-            raise InvariantViolation(bad[0].field, bad[0].rule)
+            raise bad[0]
         loaded.append(profile)
     return ProfileRegistry(loaded)
 
@@ -484,45 +471,38 @@ def serialize_profiles(registry: ProfileRegistry) -> str:
     return json.dumps(doc, indent=2)
 
 
-def validate_profile(profile: ModelProfile) -> list[Issue]:
+def validate_profile(profile: ModelProfile) -> list[InvariantViolation]:
     """Full validation: type invariants plus positivity over I, O in [1, 4096].
 
     TBT positivity needs no grid: the decode latency invariant already
     requires it at contexts 0 and 8192, and TBT is linear in the context.
 
-    Issues are returned, never raised; an empty list means the profile is
-    sound over the checked domain.
+    Violations are returned, never raised; an empty list means the profile
+    is sound over the checked domain.
     """
-    from . import energy as energy_mod  # local import to avoid a cycle
-    from . import latency as latency_mod
+    # Imported here because energy and latency import this module.
+    from .energy import piecewise_energy_value, piecewise_power_value
+    from .latency import prefill_latency
 
     out = profile.issues()
     if out:
         return out
 
     grid = [1, 63, 64, 127, 128, 256, 384, 512, 800, 1024, 2048, 4095, 4096]
-    if profile.prefill_latency is not None:
-        for i in grid:
-            if latency_mod.prefill_latency(profile, i) <= 0:
-                out.append(
-                    Issue("prefill_latency", f"nonpositive latency at input_len={i}")
-                )
-                break
-    if profile.prefill_power is not None:
-        for i in grid:
-            if energy_mod.piecewise_power_value(profile.prefill_power, i) <= 0:
-                out.append(Issue("prefill_power", f"nonpositive watts at input_len={i}"))
-                break
-    if profile.decode_power is not None:
-        for o in grid:
-            if energy_mod.piecewise_power_value(profile.decode_power, o, inclusive=False) <= 0:
-                out.append(Issue("decode_power", f"nonpositive watts at output_pos={o}"))
-                break
-    if profile.prefill_energy is not None:
-        for i in grid:
-            if energy_mod.piecewise_energy_value(profile.prefill_energy, i) <= 0:
-                out.append(Issue("prefill_energy", f"nonpositive energy at input_len={i}"))
-                break
+    checks = [  # (coefficient set, its value at a grid point, what a value <= 0 is)
+        ("prefill_latency", lambda _, i: prefill_latency(profile, i), "latency at input_len"),
+        ("prefill_power", piecewise_power_value, "watts at input_len"),
+        # A decode position at the threshold is on the log branch (inclusive=False).
+        ("decode_power", lambda m, o: piecewise_power_value(m, o, False), "watts at output_pos"),
+        ("prefill_energy", piecewise_energy_value, "energy at input_len"),
+    ]
+    for name, value, what in checks:
+        model = getattr(profile, name)
+        if model is None:
+            continue
+        bad = next((x for x in grid if value(model, x) <= 0), None)
+        if bad is not None:
+            out.append(InvariantViolation(name, f"nonpositive {what}={bad}"))
     return out
 
 
@@ -536,7 +516,7 @@ def load_measurements(source: Source) -> list[MeasurementRecord]:
     for lineno, record in read_rows(source, MeasurementRecord, "measurement file"):
         bad = record.issues()
         if bad:
-            raise InvariantViolation(bad[0].field, f"{bad[0].rule} (line {lineno})")
+            raise InvariantViolation(bad[0].field, bad[0].rule, line=lineno)
         records.append(record)
     return records
 

@@ -345,6 +345,14 @@ class TestCost:
         assert float(fields["hardware_cost"]) == pytest.approx(0.2785, abs=2e-3)
         assert float(fields["total"]) == pytest.approx(0.3028, abs=2e-3)
 
+    def test_default_prices(self, capsys):
+        argv = ["cost", "--tokens", "195624", "--duration", "4358", "--energy-kwh", "0.0317"]
+        default = run(capsys, *argv)
+        assert run(capsys, *argv, "--electricity", "0.15", "--hardware-rate", "0.045") == default
+        assert run(capsys, *argv, "--electricity", "0.15") == default
+        assert run(capsys, *argv, "--hardware-rate", "0.045") == default
+        assert run(capsys, *argv, "--hardware-rate", "0.09") != default
+
     @pytest.mark.parametrize(
         "flag, value",
         [

@@ -123,6 +123,11 @@ class TestPrefillEnergyPerToken:
         decay = p8.prefill_energy.exp_A * math.exp(-p8.prefill_energy.exp_lambda * v)
         assert at == pytest.approx(decay + p8.prefill_energy.exp_C)
 
+    def test_integers_past_the_float_range(self, p15):
+        # The decay branch multiplies the rate by the input length.
+        with pytest.raises(DomainError, match="^input_len is too large for the prefill energy model$"):
+            prefill_energy_per_token(p15, 10**400)
+
 
 class TestDecodePower:
     def test_floor(self, p15):
@@ -215,11 +220,16 @@ class TestDecodeEnergy:
             decode_energy(profile, 50, output_len)
         assert decode_energy(profile, 1, 9) > 0.0  # contexts 1 .. 9
 
-    @pytest.mark.parametrize("output_len", [10, 300], ids=["floor", "log"])
+    @pytest.mark.parametrize("output_len", [0, 10, 300], ids=["zero", "floor", "log"])
     @pytest.mark.parametrize("input_len", [0, -5])
     def test_input_len_domain(self, p14, input_len, output_len):
         with pytest.raises(DomainError, match=f"^input_len must be >= 1, got {input_len}$"):
             decode_energy(p14, input_len, output_len)
+
+    def test_zero_output_needs_decode_latency(self, registry):
+        # dsr1-qwen-14b-w4 has decode power but no decode latency.
+        with pytest.raises(MissingCoefficient, match="no decode_latency coefficients$"):
+            decode_energy(registry.get("dsr1-qwen-14b-w4"), 512, 0)
 
     @pytest.mark.parametrize("output_len", [10**200, 10**400])
     def test_integers_past_the_float_range(self, p14, output_len):
@@ -253,6 +263,17 @@ class TestTotalEnergy:
         )
         with pytest.raises(UnitUndeclared):
             total_energy(undeclared, 128, 10)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            "dsr1-qwen-14b",  # log branch: the per-token energy times input_len
+            "dsr1-qwen-1.5b",  # decay branch: the rate times input_len
+        ],
+    )
+    def test_integers_past_the_float_range(self, registry, model):
+        with pytest.raises(DomainError, match="^input_len is too large for the prefill energy model$"):
+            total_energy(registry.get(model), 10**400, 1)
 
 
 class TestCost:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeperf import planner
+from edgeperf import cli, planner
 from edgeperf.errors import (
     DomainError,
     EmptyInput,
@@ -188,6 +188,21 @@ class TestLoadConfigTable:
     def test_accuracy_out_of_range(self):
         with pytest.raises(InvariantViolation):
             load_config_table(io.StringIO(HEADER + "m,base,,120,100,1.0,0.1,1\n"))
+
+    def test_invariant_violation_names_its_line(self, tmp_path, capsys):
+        text = HEADER + "m,base,,50,100,1.0,0.1,1\nm,base,,120,100,1.0,0.1,1\n"
+        with pytest.raises(InvariantViolation) as err:
+            load_config_table(io.StringIO(text))
+        assert err.value.line == 3
+        assert (err.value.field, err.value.rule) == (
+            "config.accuracy", "accuracy must be in [0, 100]"
+        )
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code = cli.main(["plan", "--pareto", "accuracy,latency", "--table", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: config.accuracy: accuracy must be in [0, 100] (line 3)\n"
 
     def test_bad_header(self):
         with pytest.raises(ParseError):

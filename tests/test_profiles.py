@@ -284,6 +284,15 @@ class TestSerialization:
         assert "decode_latency" not in registry.get("dsr1-qwen-14b-w4").capabilities()
 
 
+DIPPING_PREFILL_LATENCY = PrefillLatencyCoeffs(a=1e-6, b=-9e-4, c=0.18)
+DIPPING_PREFILL_POWER = PiecewisePowerModel(
+    floor_watts=5.0, threshold=256, log_alpha=-1.0, log_beta=math.log(300)
+)
+DIPPING_PREFILL_ENERGY = PiecewiseEnergyModel(
+    threshold=384, exp_A=0.29, exp_lambda=0.03, exp_C=0.009, log_alpha=0.016, log_beta=-0.2
+)
+
+
 class TestValidateProfile:
     def test_builtin_profiles_clean(self, registry):
         for profile in registry:
@@ -332,6 +341,40 @@ class TestValidateProfile:
             ("decode_power", "nonpositive watts at output_pos=64")
         ]
 
+    @pytest.mark.parametrize(
+        "name, coefficients, rule",
+        [
+            # a*(I_pad-300)*(I_pad-600): positive at 128 and 256, negative at 384.
+            ("prefill_latency", DIPPING_PREFILL_LATENCY, "nonpositive latency at input_len=384"),
+            # Input 256 is on the floor branch; -ln(384) + ln(300) < 0.
+            ("prefill_power", DIPPING_PREFILL_POWER, "nonpositive watts at input_len=384"),
+            # Input 384 is on the decay branch; 0.016*ln(512) - 0.2 < 0.
+            ("prefill_energy", DIPPING_PREFILL_ENERGY, "nonpositive energy at input_len=512"),
+        ],
+    )
+    def test_first_nonpositive_grid_point_pinned(self, name, coefficients, rule):
+        profile = ModelProfile(id="dips", param_count=1.0, **{name: coefficients})
+        assert [(i.field, i.rule) for i in validate_profile(profile)] == [(name, rule)]
+
+    def test_grid_checks_report_in_field_order(self):
+        profile = ModelProfile(
+            id="dips",
+            param_count=1.0,
+            prefill_latency=DIPPING_PREFILL_LATENCY,
+            prefill_power=DIPPING_PREFILL_POWER,
+            prefill_energy=DIPPING_PREFILL_ENERGY,
+            decode_power=PiecewisePowerModel(
+                floor_watts=5.0, threshold=64, log_alpha=-1.0, log_beta=math.log(100)
+            ),
+        )
+        issues = validate_profile(profile)
+        assert [str(i) for i in issues] == [
+            "prefill_latency: nonpositive latency at input_len=384",
+            "prefill_power: nonpositive watts at input_len=384",
+            "decode_power: nonpositive watts at output_pos=127",
+            "prefill_energy: nonpositive energy at input_len=512",
+        ]
+
 
 class TestLoadMeasurements:
     def test_shipped_decode_file(self):
@@ -358,6 +401,14 @@ class TestLoadMeasurements:
         with pytest.raises(InvariantViolation):
             load_measurements(io.StringIO(text))
 
+    def test_invariant_violation_names_its_line(self):
+        text = MEASUREMENT_HEADER + "prefill,128,0,0.2,,\nprefill,128,0,0.0,,\n"
+        with pytest.raises(InvariantViolation) as err:
+            load_measurements(io.StringIO(text))
+        assert err.value.line == 3
+        assert (err.value.field, err.value.rule) == ("measurement.latency", "latency must be > 0")
+        assert str(err.value) == "measurement.latency: latency must be > 0 (line 3)"
+
     def test_header_only_is_empty(self):
         assert (
             load_measurements(io.StringIO("phase,input_len,output_len,latency_s,power_w,energy_j\n"))
@@ -381,6 +432,8 @@ class TestLoadMeasurements:
             "measurement.output_len",
             "measurement.latency",
         }
+        assert all(type(issue) is InvariantViolation for issue in record.issues())
+        assert all(issue.line is None for issue in record.issues())
 
 
 @pytest.mark.parametrize(
