@@ -17,6 +17,7 @@ from typing import Optional
 
 from . import latency, profiles
 from .errors import (
+    DomainError,
     DuplicateId,
     EdgeperfError,
     InvariantViolation,
@@ -25,10 +26,6 @@ from .errors import (
 )
 
 PROFILES_ENV_VAR = "EDGEPERF_PROFILES"
-
-
-class _DomainFailure(EdgeperfError):
-    """Internal: a handler produced no result (exit 1)."""
 
 
 class _OutputFailure(EdgeperfError):
@@ -48,11 +45,7 @@ def _resolve_registry(args) -> profiles.ProfileRegistry:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def _render(result, as_json: bool) -> str:
@@ -60,13 +53,9 @@ def _render(result, as_json: bool) -> str:
         return json.dumps(result, indent=2, sort_keys=False, allow_nan=False)
     if isinstance(result, dict):
         return " ".join(f"{k}={_fmt(v)}" for k, v in result.items() if v is not None)
-    lines = []
-    for item in result:
-        if isinstance(item, dict):
-            lines.append(" ".join(f"{k}={_fmt(v)}" for k, v in item.items() if v is not None))
-        else:
-            lines.append(str(item))
-    return "\n".join(lines)
+    return "\n".join(
+        _render(item, False) if isinstance(item, dict) else str(item) for item in result
+    )
 
 
 def _all_finite(value) -> bool:
@@ -82,7 +71,7 @@ def _all_finite(value) -> bool:
 
 def _emit(result, args) -> None:
     if not _all_finite(result):
-        raise _DomainFailure("the result is not finite; an argument is out of range")
+        raise DomainError("the result is not finite; an argument is out of range")
     text = _render(result, args.json)
     if not args.out:
         print(text)
@@ -184,6 +173,8 @@ def _cmd_validate(args):
     if not result:
         raise ParseError("no prefill or decode rows in data file")
 
+    if args.max_mape is not None and not args.max_mape >= 0:
+        raise DomainError("--max-mape must be >= 0", got=args.max_mape)
     if args.json:
         _emit(result, args)
     else:
@@ -272,9 +263,9 @@ def _cmd_plan(args):
     elif args.max_cost is not None:
         best = planner.best_under_cost(points, args.max_cost)
     else:
-        raise _DomainFailure("one of --pareto, --max-latency, --max-cost is required")
+        raise DomainError("one of --pareto, --max-latency, --max-cost is required")
     if best is None:
-        raise _DomainFailure("no configuration satisfies the constraint")
+        raise DomainError("no configuration satisfies the constraint")
     _emit(_point_dict(best), args)
     return 0
 
@@ -388,9 +379,5 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 1
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -46,11 +46,11 @@ class UsageSample:
 
     def __post_init__(self):
         if not 1 <= self.tokens < math.inf:
-            raise DomainError(f"tokens must be finite and >= 1, got {self.tokens}")
+            raise DomainError("tokens must be finite and >= 1", got=self.tokens)
         if not 0 < self.duration < math.inf:
-            raise DomainError(f"duration must be finite and > 0, got {self.duration}")
+            raise DomainError("duration must be finite and > 0", got=self.duration)
         if not 0 <= self.energy < math.inf:
-            raise DomainError(f"energy must be finite and >= 0, got {self.energy}")
+            raise DomainError("energy must be finite and >= 0", got=self.energy)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def prefill_power(profile: ModelProfile, input_len: int) -> float:
     if profile.prefill_power is None:
         raise MissingCoefficient(profile.id, "prefill_power")
     if input_len < 1:
-        raise DomainError(f"input_len must be >= 1, got {input_len}")
+        raise DomainError("input_len must be >= 1", got=input_len)
     return piecewise_power_value(profile.prefill_power, input_len)
 
 
@@ -107,7 +107,7 @@ def prefill_energy_per_token(profile: ModelProfile, input_len: int) -> float:
     if profile.prefill_energy is None:
         raise MissingCoefficient(profile.id, "prefill_energy")
     if input_len < 1:
-        raise DomainError(f"input_len must be >= 1, got {input_len}")
+        raise DomainError("input_len must be >= 1", got=input_len)
     try:
         return piecewise_energy_value(profile.prefill_energy, input_len)
     except OverflowError:  # input_len is past the float range
@@ -124,7 +124,7 @@ def decode_power(profile: ModelProfile, output_pos: int) -> float:
     if profile.decode_power is None:
         raise MissingCoefficient(profile.id, "decode_power")
     if output_pos < 1:
-        raise DomainError(f"output_pos must be >= 1, got {output_pos}")
+        raise DomainError("output_pos must be >= 1", got=output_pos)
     watts = piecewise_power_value(profile.decode_power, output_pos, inclusive=False)
     if watts > DEFAULT_PLATFORM_CAP_WATTS:
         warnings.warn(

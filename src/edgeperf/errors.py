@@ -51,7 +51,18 @@ class MissingCoefficient(EdgeperfError):
 
 
 class DomainError(EdgeperfError):
-    """Argument outside an operation's numeric domain."""
+    """Argument outside an operation's numeric domain. With ``got``, the
+    message ends in the refused value; an int too long for str() is named by
+    its size."""
+
+    def __init__(self, message, got=None):
+        if got is not None:
+            try:
+                shown = str(got)
+            except ValueError:  # str() refuses an int of more than 4300 digits
+                shown = f"{'a negative' if got < 0 else 'an'} integer of {got.bit_length()} bits"
+            message = f"{message}, got {shown}"
+        super().__init__(message)
 
 
 class NonpositiveTBT(EdgeperfError):

@@ -22,7 +22,7 @@ class LatencyBudget:
 
     def __post_init__(self):
         if not self.limit > 0:
-            raise DomainError(f"budget limit must be > 0, got {self.limit}")
+            raise DomainError("budget limit must be > 0", got=self.limit)
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,8 @@ class LatencyBreakdown:
 def padded_length(input_len: int) -> int:
     """Round the input length up to the hardware tile multiple (128)."""
     if input_len < 1:
-        raise DomainError(f"input_len must be >= 1, got {input_len}")
+        raise DomainError("input_len must be >= 1", got=input_len)
     return ((input_len + PAD_MULTIPLE - 1) // PAD_MULTIPLE) * PAD_MULTIPLE
-
-
-def _prefill_coeffs(profile: ModelProfile):
-    if profile.prefill_latency is None:
-        raise MissingCoefficient(profile.id, "prefill_latency")
-    return profile.prefill_latency
 
 
 def _decode_coeffs(profile: ModelProfile) -> DecodeLatencyCoeffs:
@@ -56,7 +50,9 @@ def _decode_coeffs(profile: ModelProfile) -> DecodeLatencyCoeffs:
 
 def prefill_latency(profile: ModelProfile, input_len: int) -> float:
     """Seconds to process the prompt: a*I_pad^2 + b*I_pad + c."""
-    coeffs = _prefill_coeffs(profile)
+    coeffs = profile.prefill_latency
+    if coeffs is None:
+        raise MissingCoefficient(profile.id, "prefill_latency")
     ipad = padded_length(input_len)
     try:
         return coeffs.a * ipad * ipad + coeffs.b * ipad + coeffs.c
@@ -67,7 +63,7 @@ def prefill_latency(profile: ModelProfile, input_len: int) -> float:
 def tbt(profile: ModelProfile, context_len: int) -> float:
     """Time between tokens at the given context length, in seconds."""
     if context_len < 1:
-        raise DomainError(f"context_len must be >= 1, got {context_len}")
+        raise DomainError("context_len must be >= 1", got=context_len)
     coeffs = _decode_coeffs(profile)
     value = coeffs.m * context_len + coeffs.n
     if value <= 0:
@@ -112,9 +108,9 @@ def _decode_domain(profile: ModelProfile, input_len: int, output_len: int) -> De
     context in [I, I+O-1] is positive; else tbt() raises at the first."""
     coeffs = _decode_coeffs(profile)
     if input_len < 1:
-        raise DomainError(f"input_len must be >= 1, got {input_len}")
+        raise DomainError("input_len must be >= 1", got=input_len)
     if output_len < 0:
-        raise DomainError(f"output_len must be >= 0, got {output_len}")
+        raise DomainError("output_len must be >= 0", got=output_len)
     m, n = coeffs.m, coeffs.n
     least = input_len if m >= 0 else input_len + output_len - 1  # where TBT is least
     try:
@@ -154,32 +150,33 @@ _MAX_TOKENS = 2**53  # no float counts single tokens past this
 def max_output_tokens(profile: ModelProfile, input_len: int, budget: LatencyBudget) -> int:
     """Largest O >= 0 whose total latency fits inside the budget.
 
-    Returns the root of the decode quadratic if decode(O) <= budget - prefill
-    < decode(O+1) holds there in floats, else bisects [0, hi] in <= 53 steps;
-    hi is the TBT cap or 2**53. A budget that covers decode(hi) raises
+    Each candidate is tested on the sum that total_latency(...).total returns,
+    prefill + decode(O) <= budget, so the answer agrees with total_latency:
+    total(O) fits and total(O+1) does not. The root of the decode quadratic on
+    budget - prefill is tried first, else [0, hi] is bisected in <= 53 steps;
+    hi is the TBT cap or 2**53. A budget that covers total(hi) raises
     NonpositiveTBT at the cap and DomainError at 2**53, as does an infinite one."""
-    if budget.limit == math.inf:
+    limit = budget.limit
+    if limit == math.inf:
         raise DomainError("budget limit must be finite to bound the output length")
     coeffs = _decode_coeffs(profile)
     prefill = prefill_latency(profile, input_len)
-    if budget.limit < prefill:
-        raise InfeasibleBudget(
-            f"budget {budget.limit} s is below the prefill cost {prefill} s"
-        )
-    remaining = budget.limit - prefill
+    if limit < prefill:
+        raise InfeasibleBudget(f"budget {limit} s is below the prefill cost {prefill} s")
     m, n = coeffs.m, coeffs.n
 
     zero = None
     if m < 0.0 or m * input_len + n <= 0.0:  # else the TBT stays positive from I on
         zero = _tbt_zero(m, n, input_len, input_len + _MAX_TOKENS)
     hi = _MAX_TOKENS if zero is None else zero - input_len
-    if zero is not None and decode_latency(profile, input_len, hi) <= remaining:
+    if zero is not None and prefill + decode_latency(profile, input_len, hi) <= limit:
         raise NonpositiveTBT(
             f"budget exceeds the TBT-positive range of {profile.id!r} "
             f"(cap {hi} output tokens at input_len {input_len})"
         )
 
-    # decode(O) = (m/2) O^2 + (n + m I - m/2) O
+    # decode(O) = (m/2) O^2 + (n + m I - m/2) O = limit - prefill seeds O
+    remaining = limit - prefill
     half_m = m / 2.0
     lin = n + m * input_len - half_m
     if m == 0.0:
@@ -188,9 +185,9 @@ def max_output_tokens(profile: ModelProfile, input_len: int, budget: LatencyBudg
         disc = lin * lin + 4.0 * half_m * remaining
         root = (-lin + math.sqrt(disc)) / m if disc >= 0.0 else 0.0
     k = int(root) if 0.0 < root < hi else 0  # past hi, only the bisection answers
-    if k == 0 or decode_latency(profile, input_len, k) <= remaining:
-        if decode_latency(profile, input_len, k + 1) > remaining:
+    if k == 0 or prefill + decode_latency(profile, input_len, k) <= limit:
+        if prefill + decode_latency(profile, input_len, k + 1) > limit:
             return k
-    if zero is None and decode_latency(profile, input_len, hi) <= remaining:
-        raise DomainError(f"budget {budget.limit} s fits at least 2**53 output tokens")
-    return _first(lambda k: decode_latency(profile, input_len, k) > remaining, 0, hi) - 1
+    if zero is None and prefill + decode_latency(profile, input_len, hi) <= limit:
+        raise DomainError(f"budget {limit} s fits at least 2**53 output tokens")
+    return _first(lambda k: prefill + decode_latency(profile, input_len, k) > limit, 0, hi) - 1

@@ -179,19 +179,15 @@ def best_under_latency(
 ) -> Optional[ConfigPoint]:
     """Highest-accuracy configuration whose latency fits the budget, if any."""
     feasible = [p for p in points if p.latency is not None and p.latency <= budget.limit]
-    if not feasible:
-        return None
-    return min(feasible, key=_selection_key)
+    return min(feasible, key=_selection_key, default=None)
 
 
 def best_under_cost(points: Sequence[ConfigPoint], budget: float) -> Optional[ConfigPoint]:
     """Highest-accuracy configuration whose cost fits the budget, if any."""
-    if budget < 0:
-        raise DomainError(f"cost budget must be >= 0, got {budget}")
+    if not budget >= 0:
+        raise DomainError("cost budget must be >= 0", got=budget)
     feasible = [p for p in points if p.cost is not None and p.cost <= budget]
-    if not feasible:
-        return None
-    return min(feasible, key=_selection_key)
+    return min(feasible, key=_selection_key, default=None)
 
 
 def majority_vote(answers: Sequence[Hashable]) -> Hashable:

@@ -34,7 +34,7 @@ def cli_refuses(capsys):
     """Check that one CLI call exits 2 with a single error line and no output."""
 
     def check(*argv):
-        code = cli.main(list(argv))
+        code = cli.run(list(argv))
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), captured
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err

@@ -16,7 +16,7 @@ SRC = str(Path(edgeperf.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -302,6 +302,23 @@ class TestValidate:
         assert "gate" in err
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_nan_max_mape_exit_1(self, capsys, json_flag):
+        # No MAPE exceeds nan, so a nan gate could never fail.
+        code, out, err = run(
+            capsys,
+            "validate",
+            *json_flag,
+            "--model",
+            "dsr1-qwen-14b",
+            "--data",
+            self.data_path("dsr1-qwen-14b-gpu.csv"),
+            "--max-mape",
+            "nan",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --max-mape must be >= 0, got nan\n"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_non_finite_mape_exit_1(self, capsys, tmp_path, json_flag):
         # 0.78 s predicted against 1e-320 s measured overflows the MAPE to inf.
         path = tmp_path / "tiny.csv"
@@ -394,6 +411,13 @@ class TestPlan:
             for line in out.splitlines()
         ]
         assert latencies == sorted(latencies)
+
+    @pytest.mark.parametrize("flag", ["--max-latency", "--max-cost"])
+    def test_nan_threshold_exit_1(self, capsys, flag):
+        code, out, err = run(capsys, "plan", flag, "nan")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith(", got nan\n")
 
     def test_no_query_exit_1(self, capsys):
         code, _, err = run(capsys, "plan")

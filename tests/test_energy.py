@@ -329,3 +329,32 @@ class TestCost:
     def test_prices_refuse_non_finite(self, field, bad):
         with pytest.raises(DomainError, match="must be finite"):
             CostParams(**{field: bad})
+
+
+BIG_NEGATIVE = -(10**5000)  # str() refuses an int of more than 4300 digits
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: prefill_power(p, BIG_NEGATIVE),
+        lambda p: prefill_energy_per_token(p, BIG_NEGATIVE),
+        lambda p: decode_power(p, BIG_NEGATIVE),
+        lambda p: decode_energy(p, BIG_NEGATIVE, 1),
+        lambda p: decode_energy(p, 512, BIG_NEGATIVE),
+        lambda p: total_energy(p, BIG_NEGATIVE, 1),
+        lambda p: UsageSample(tokens=BIG_NEGATIVE, duration=1.0, energy=0.5),
+    ],
+    ids=[
+        "prefill_power",
+        "prefill_energy_per_token",
+        "decode_power",
+        "decode_energy-input",
+        "decode_energy-output",
+        "total_energy",
+        "UsageSample",
+    ],
+)
+def test_integers_past_the_str_limit_are_domain_errors(p15, call):
+    with pytest.raises(DomainError, match="got a negative integer of 16610 bits$"):
+        call(p15)

@@ -151,6 +151,26 @@ class TestFitPrefillLatency:
             predicted = c.a * ipad * ipad + c.b * ipad + c.c
             assert predicted == pytest.approx(r.latency, rel=0.05)
 
+    def test_ill_conditioned_rows_take_the_svd_fallback(self, monkeypatch):
+        # Five padded lengths near 1.28M: the column-scaled design has a
+        # condition number of 2.5e8, past the normal equations' limit.
+        a, b, c = 1.23e-6, 5.3e-4, 0.189
+        rows = prefill_rows(a, b, c, range(1_280_000, 1_280_513, 128))
+        solves = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        result = fit_prefill_latency(rows)
+        assert len(solves) == 1
+        ipads = [padded_length(r.input_len) for r in rows]
+        truth_sse = sum((a * i * i + b * i + c - r.latency) ** 2 for i, r in zip(ipads, rows))
+        roundoff = 100 * len(rows) * (np.finfo(float).eps * max(r.latency for r in rows)) ** 2
+        assert result.residual_sse <= truth_sse + roundoff
+
     def test_input_not_mutated(self):
         rows = prefill_rows(1e-7, 2e-6, 0.05, [128, 256, 512])
         snapshot = list(rows)

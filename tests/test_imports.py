@@ -5,6 +5,7 @@ checks run in fresh interpreters, because this process has loaded every
 module already.
 """
 
+import importlib
 import json
 import math
 import os
@@ -177,3 +178,13 @@ def test_from_import_and_unknown_name():
     assert edgeperf.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no attribute 'fit_nothing'"):
         edgeperf.fit_nothing
+
+
+def test_console_scripts_name_callables():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, _, name = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), name, None)), target

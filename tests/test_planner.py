@@ -199,7 +199,7 @@ class TestLoadConfigTable:
         )
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        code = cli.main(["plan", "--pareto", "accuracy,latency", "--table", str(path)])
+        code = cli.run(["plan", "--pareto", "accuracy,latency", "--table", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: config.accuracy: accuracy must be in [0, 100] (line 3)\n"
@@ -355,6 +355,12 @@ class TestSelection:
     def test_cost_budget_negative(self, table):
         with pytest.raises(DomainError):
             best_under_cost(table, -0.01)
+
+    @pytest.mark.parametrize("budget", [math.nan, -(10**5000)], ids=["nan", "past-str-limit"])
+    def test_cost_budget_refused(self, table, budget):
+        # No cost is <= nan, so a nan budget would report that nothing fits.
+        with pytest.raises(DomainError, match="cost budget must be >= 0"):
+            best_under_cost(table, budget)
 
     def test_tie_break_chain(self):
         pts = [
