@@ -101,14 +101,7 @@ def _cmd_predict(args):
     registry = _resolve_registry(args)
     profile = registry.get(args.model)
     breakdown = latency.total_latency(profile, args.input, args.output)
-    _emit(
-        {
-            "prefill": breakdown.prefill,
-            "decode": breakdown.decode,
-            "total": breakdown.total,
-        },
-        args,
-    )
+    _emit({**vars(breakdown), "total": breakdown.total}, args)
     return 0
 
 
@@ -132,14 +125,7 @@ def _cmd_cost(args):
     prices = {"electricity": args.electricity, "hardware_rate": args.hardware_rate}
     params = energy.CostParams(**{k: v for k, v in prices.items() if v is not None})
     breakdown = energy.cost_per_million_tokens(usage, params)
-    _emit(
-        {
-            "energy_cost": breakdown.energy_cost,
-            "hardware_cost": breakdown.hardware_cost,
-            "total": breakdown.total,
-        },
-        args,
-    )
+    _emit({**vars(breakdown), "total": breakdown.total}, args)
     return 0
 
 
@@ -222,22 +208,12 @@ def _cmd_fit(args):
             result = fitting.fit_piecewise(points, kind="energy")
 
     fragment = fitting.coefficients_to_json(result.coefficients)
+    tail = {"residual_sse": result.residual_sse, "points_used": result.points_used}
     if args.json:
-        _emit(
-            {
-                "fit": fragment,
-                "residual_sse": result.residual_sse,
-                "points_used": result.points_used,
-            },
-            args,
-        )
+        _emit({"fit": fragment, **tail}, args)
     else:
         (section, coeffs), = fragment.items()
-        flat = {"kind": section}
-        flat.update(coeffs)
-        flat["residual_sse"] = result.residual_sse
-        flat["points_used"] = result.points_used
-        _emit(flat, args)
+        _emit({"kind": section, **coeffs, **tail}, args)
     return 0
 
 

@@ -11,6 +11,7 @@ from .errors import (
     ImplausibleWattsWarning,
     MissingCoefficient,
     UnitUndeclared,
+    _shown,
 )
 from .latency import _DECODE_TOO_LARGE, _decode_domain, decode_latency
 from .profiles import (
@@ -129,7 +130,7 @@ def decode_power(profile: ModelProfile, output_pos: int) -> float:
     if watts > DEFAULT_PLATFORM_CAP_WATTS:
         warnings.warn(
             f"{profile.id}: modeled decode power {watts:.1f} W at position "
-            f"{output_pos} exceeds the {DEFAULT_PLATFORM_CAP_WATTS:.0f} W platform cap",
+            f"{_shown(output_pos)} exceeds the {DEFAULT_PLATFORM_CAP_WATTS:.0f} W platform cap",
             ImplausibleWattsWarning,
             stacklevel=2,
         )

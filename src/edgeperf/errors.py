@@ -50,18 +50,21 @@ class MissingCoefficient(EdgeperfError):
         super().__init__(f"profile {model_id!r} has no {coefficient_set} coefficients")
 
 
+def _shown(value) -> str:
+    """str(value), but an int too long for str() is named by its size."""
+    try:
+        return str(value)
+    except ValueError:  # str() refuses an int of more than 4300 digits
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 class DomainError(EdgeperfError):
     """Argument outside an operation's numeric domain. With ``got``, the
-    message ends in the refused value; an int too long for str() is named by
-    its size."""
+    message ends in the refused value, shown by :func:`_shown`."""
 
     def __init__(self, message, got=None):
         if got is not None:
-            try:
-                shown = str(got)
-            except ValueError:  # str() refuses an int of more than 4300 digits
-                shown = f"{'a negative' if got < 0 else 'an'} integer of {got.bit_length()} bits"
-            message = f"{message}, got {shown}"
+            message = f"{message}, got {_shown(got)}"
         super().__init__(message)
 
 

@@ -8,6 +8,7 @@ as 64-bit floats; no unit conversion happens in this layer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleBudget, MissingCoefficient, NonpositiveTBT
@@ -65,7 +66,10 @@ def tbt(profile: ModelProfile, context_len: int) -> float:
     if context_len < 1:
         raise DomainError("context_len must be >= 1", got=context_len)
     coeffs = _decode_coeffs(profile)
-    value = coeffs.m * context_len + coeffs.n
+    try:
+        value = coeffs.m * context_len + coeffs.n
+    except OverflowError:  # context_len is past the float range
+        raise DomainError("context_len is too large for the TBT closed form") from None
     if value <= 0:
         raise NonpositiveTBT(
             f"TBT model of {profile.id!r} is nonpositive at context {context_len}"
@@ -155,9 +159,10 @@ def max_output_tokens(profile: ModelProfile, input_len: int, budget: LatencyBudg
     total(O) fits and total(O+1) does not. The root of the decode quadratic on
     budget - prefill is tried first, else [0, hi] is bisected in <= 53 steps;
     hi is the TBT cap or 2**53. A budget that covers total(hi) raises
-    NonpositiveTBT at the cap and DomainError at 2**53, as does an infinite one."""
+    NonpositiveTBT at the cap and DomainError at 2**53, as does one past the
+    float range, inf included."""
     limit = budget.limit
-    if limit == math.inf:
+    if limit > sys.float_info.max:
         raise DomainError("budget limit must be finite to bound the output length")
     coeffs = _decode_coeffs(profile)
     prefill = prefill_latency(profile, input_len)

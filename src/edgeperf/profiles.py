@@ -174,19 +174,17 @@ class MeasurementRecord:
     power: Optional[float] = field(default=None, metadata={"key": "power_w"})  # watts
     energy: Optional[float] = field(default=None, metadata={"key": "energy_j"})  # joules
 
-    def issues(self) -> list[InvariantViolation]:
-        out = []
+    def __post_init__(self):
         if self.input_len < 1:
-            out.append(InvariantViolation("measurement.input_len", "input_len must be >= 1"))
+            raise InvariantViolation("measurement.input_len", "input_len must be >= 1")
         if self.output_len < 0:
-            out.append(InvariantViolation("measurement.output_len", "output_len must be >= 0"))
+            raise InvariantViolation("measurement.output_len", "output_len must be >= 0")
         if not self.latency > 0:
-            out.append(InvariantViolation("measurement.latency", "latency must be > 0"))
+            raise InvariantViolation("measurement.latency", "latency must be > 0")
         if self.power is not None and not self.power > 0:
-            out.append(InvariantViolation("measurement.power", "power must be > 0 when present"))
+            raise InvariantViolation("measurement.power", "power must be > 0 when present")
         if self.energy is not None and not self.energy > 0:
-            out.append(InvariantViolation("measurement.energy", "energy must be > 0 when present"))
-        return out
+            raise InvariantViolation("measurement.energy", "energy must be > 0 when present")
 
 
 @dataclass(frozen=True)
@@ -426,7 +424,7 @@ def read_rows(source: Source, cls, what: str) -> Iterator[tuple[int, object]]:
             record = cls(**values)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        except InvariantViolation as exc:  # a record that checks itself when built
+        except InvariantViolation as exc:  # each record checks itself when built
             raise InvariantViolation(exc.field, exc.rule, line=lineno) from None
         yield lineno, record
 
@@ -512,13 +510,7 @@ def validate_profile(profile: ModelProfile) -> list[InvariantViolation]:
 
 def load_measurements(source: Source) -> list[MeasurementRecord]:
     """Parse the measurement CSV, a path or an open text stream, into validated records."""
-    records = []
-    for lineno, record in read_rows(source, MeasurementRecord, "measurement file"):
-        bad = record.issues()
-        if bad:
-            raise InvariantViolation(bad[0].field, bad[0].rule, line=lineno)
-        records.append(record)
-    return records
+    return [record for _, record in read_rows(source, MeasurementRecord, "measurement file")]
 
 
 # ---------------------------------------------------------------------------

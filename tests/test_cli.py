@@ -10,7 +10,7 @@ import pytest
 import edgeperf
 from edgeperf import cli
 from edgeperf.latency import decode_latency, prefill_latency
-from edgeperf.profiles import serialize_profiles
+from edgeperf.profiles import builtin_profiles_path, serialize_profiles
 
 SRC = str(Path(edgeperf.__file__).resolve().parents[1])
 
@@ -443,6 +443,7 @@ class TestPlan:
 
 
 DATA = Path(__file__).parent / "data"
+SHIPPED_DATA = builtin_profiles_path().parent / "measurements"
 # stdout of `plan --pareto`, recorded before the frontier was computed by a sweep.
 PARETO_GOLDEN = json.loads((DATA / "pareto_cli_golden.json").read_text())
 
@@ -459,6 +460,51 @@ class TestParetoBytes:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out == PARETO_GOLDEN[case]
+
+
+RECORD_JSON_GOLDEN = {
+    "predict": """{
+  "prefill": 0.7827971200000001,
+  "decode": 24.01924032,
+  "total": 24.802037440000003
+}
+""",
+    "cost": """{
+  "energy_cost": 0.024306833517359832,
+  "hardware_cost": 0.2784678771520877,
+  "total": 0.30277471066944756
+}
+""",
+    "fit": """{
+  "fit": {
+    "decode_latency": {
+      "m": 1.4483253328352358e-06,
+      "n": 0.18455339594155828
+    }
+  },
+  "residual_sse": 0.0011686629977340065,
+  "points_used": 3
+}
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("predict", ["--model", "dsr1-qwen-14b", "--input", "512", "--output", "128"]),
+        ("cost", ["--tokens", "195624", "--duration", "4358", "--energy-kwh", "0.0317"]),
+        (
+            "fit",
+            ["--kind", "decode-latency", "--data", str(SHIPPED_DATA / "dsr1-qwen-14b-gpu.csv")],
+        ),
+    ],
+)
+def test_json_record_stdout_pinned(capsys, command, argv):
+    """Each result record's --json bytes, key order included."""
+    code, out, err = run(capsys, command, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert out == RECORD_JSON_GOLDEN[command]
 
 
 class TestVote:

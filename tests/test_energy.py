@@ -358,3 +358,11 @@ BIG_NEGATIVE = -(10**5000)  # str() refuses an int of more than 4300 digits
 def test_integers_past_the_str_limit_are_domain_errors(p15, call):
     with pytest.raises(DomainError, match="got a negative integer of 16610 bits$"):
         call(p15)
+
+
+def test_decode_power_past_the_str_limit_warns_by_size(p15, p14):
+    for profile in (p15, p14):
+        message = "at position an integer of 16610 bits exceeds the 60 W platform cap$"
+        with pytest.warns(ImplausibleWattsWarning, match=message):
+            watts = decode_power(profile, 10**5000)
+        assert math.isfinite(watts)

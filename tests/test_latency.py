@@ -222,6 +222,24 @@ def test_integers_past_the_str_limit_are_domain_errors(p14, call):
         call(p14)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: tbt(p, 10**400), "context_len is too large for the TBT closed form"),
+        (
+            lambda p: max_output_tokens(p, 512, LatencyBudget(10**400)),
+            "budget limit must be finite to bound the output length",
+        ),
+    ],
+    ids=["tbt", "max_output_tokens"],
+)
+def test_integers_past_the_float_range_are_domain_errors(p15, p14, call, message):
+    for profile in (p15, p14):
+        with pytest.raises(DomainError) as err:
+            call(profile)
+        assert str(err.value) == message
+
+
 class TestMaxOutputTokens:
     def test_worked_case_14b(self, p14):
         assert max_output_tokens(p14, 512, LatencyBudget(30.0)) == 155

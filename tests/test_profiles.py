@@ -422,18 +422,29 @@ class TestLoadMeasurements:
         for source in (path, str(path)):
             assert [r.latency for r in load_measurements(source)] == [0.2]
 
-    def test_record_issues(self):
-        record = MeasurementRecord(
-            phase=Phase.PREFILL, input_len=0, output_len=-1, latency=0.0
-        )
-        fields = {issue.field for issue in record.issues()}
-        assert fields == {
-            "measurement.input_len",
-            "measurement.output_len",
-            "measurement.latency",
-        }
-        assert all(type(issue) is InvariantViolation for issue in record.issues())
-        assert all(issue.line is None for issue in record.issues())
+    @pytest.mark.parametrize(
+        "bad, field, rule",
+        [
+            ({"input_len": 0}, "measurement.input_len", "input_len must be >= 1"),
+            ({"output_len": -1}, "measurement.output_len", "output_len must be >= 0"),
+            ({"latency": 0.0}, "measurement.latency", "latency must be > 0"),
+            ({"power": 0.0}, "measurement.power", "power must be > 0 when present"),
+            ({"energy": -1.0}, "measurement.energy", "energy must be > 0 when present"),
+            # Two broken rules: the first in field order is raised.
+            (
+                {"output_len": -1, "latency": math.nan},
+                "measurement.output_len",
+                "output_len must be >= 0",
+            ),
+        ],
+        ids=["input_len", "output_len", "latency", "power", "energy", "two-rules"],
+    )
+    def test_record_raises_its_first_violation_when_built(self, bad, field, rule):
+        values = {"phase": Phase.PREFILL, "input_len": 128, "latency": 0.2, **bad}
+        with pytest.raises(InvariantViolation) as err:
+            MeasurementRecord(**values)
+        assert type(err.value) is InvariantViolation
+        assert (err.value.field, err.value.rule, err.value.line) == (field, rule, None)
 
 
 @pytest.mark.parametrize(
