@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Optional
 
 from . import latency, profiles
@@ -345,14 +346,17 @@ def run(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EdgeperfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # A warning is one line, as an error is.
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except _USAGE_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except EdgeperfError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -11,9 +11,8 @@ from .errors import (
     ImplausibleWattsWarning,
     MissingCoefficient,
     UnitUndeclared,
-    _shown,
 )
-from .latency import _DECODE_TOO_LARGE, _decode_domain, decode_latency
+from .latency import _MAX_TOKENS, _decode_domain, decode_latency
 from .profiles import (
     EnergyUnit,
     ModelProfile,
@@ -95,24 +94,18 @@ def prefill_power(profile: ModelProfile, input_len: int) -> float:
     """Average prefill power in watts at the given input length."""
     if profile.prefill_power is None:
         raise MissingCoefficient(profile.id, "prefill_power")
-    if input_len < 1:
-        raise DomainError("input_len must be >= 1", got=input_len)
+    if not 1 <= input_len <= _MAX_TOKENS:
+        raise DomainError("input_len must be in [1, 2**53]", got=input_len)
     return piecewise_power_value(profile.prefill_power, input_len)
-
-
-_PREFILL_TOO_LARGE = "input_len is too large for the prefill energy model"
 
 
 def prefill_energy_per_token(profile: ModelProfile, input_len: int) -> float:
     """Fitted-unit energy per prompt token at the given input length."""
     if profile.prefill_energy is None:
         raise MissingCoefficient(profile.id, "prefill_energy")
-    if input_len < 1:
-        raise DomainError("input_len must be >= 1", got=input_len)
-    try:
-        return piecewise_energy_value(profile.prefill_energy, input_len)
-    except OverflowError:  # input_len is past the float range
-        raise DomainError(_PREFILL_TOO_LARGE) from None
+    if not 1 <= input_len <= _MAX_TOKENS:
+        raise DomainError("input_len must be in [1, 2**53]", got=input_len)
+    return piecewise_energy_value(profile.prefill_energy, input_len)
 
 
 def decode_power(profile: ModelProfile, output_pos: int) -> float:
@@ -124,13 +117,13 @@ def decode_power(profile: ModelProfile, output_pos: int) -> float:
     """
     if profile.decode_power is None:
         raise MissingCoefficient(profile.id, "decode_power")
-    if output_pos < 1:
-        raise DomainError("output_pos must be >= 1", got=output_pos)
+    if not 1 <= output_pos <= _MAX_TOKENS:
+        raise DomainError("output_pos must be in [1, 2**53]", got=output_pos)
     watts = piecewise_power_value(profile.decode_power, output_pos, inclusive=False)
     if watts > DEFAULT_PLATFORM_CAP_WATTS:
         warnings.warn(
             f"{profile.id}: modeled decode power {watts:.1f} W at position "
-            f"{_shown(output_pos)} exceeds the {DEFAULT_PLATFORM_CAP_WATTS:.0f} W platform cap",
+            f"{output_pos} exceeds the {DEFAULT_PLATFORM_CAP_WATTS:.0f} W platform cap",
             ImplausibleWattsWarning,
             stacklevel=2,
         )
@@ -203,18 +196,15 @@ def decode_energy(profile: ModelProfile, input_len: int, output_len: int) -> flo
     a = max(math.ceil(model.threshold), 1)
     o = output_len
     alpha = model.log_alpha / _LN10 if model.log10 else model.log_alpha
-    try:
-        sum_ln = math.lgamma(o + 1) - math.lgamma(a)
-        sum_p_ln = _ln_hyperfactorial(o) - _ln_hyperfactorial(a - 1)
-        sum_p = (o * (o + 1) - (a - 1) * a) // 2
-        floor = model.floor_watts * ((a - 1) * c0 + m * ((a - 1) * a // 2))
-        return (
-            floor
-            + alpha * (c0 * sum_ln + m * sum_p_ln)
-            + model.log_beta * (c0 * (o - a + 1) + m * sum_p)
-        )
-    except OverflowError:  # an integer term past the float range
-        raise DomainError(_DECODE_TOO_LARGE) from None
+    sum_ln = math.lgamma(o + 1) - math.lgamma(a)
+    sum_p_ln = _ln_hyperfactorial(o) - _ln_hyperfactorial(a - 1)
+    sum_p = (o * (o + 1) - (a - 1) * a) // 2
+    floor = model.floor_watts * ((a - 1) * c0 + m * ((a - 1) * a // 2))
+    return (
+        floor
+        + alpha * (c0 * sum_ln + m * sum_p_ln)
+        + model.log_beta * (c0 * (o - a + 1) + m * sum_p)
+    )
 
 
 def total_energy(profile: ModelProfile, input_len: int, output_len: int) -> float:
@@ -230,10 +220,7 @@ def total_energy(profile: ModelProfile, input_len: int, output_len: int) -> floa
             f"profile {profile.id!r} does not declare joules-per-token for its "
             "prefill energy fit"
         )
-    try:
-        prefill_joules = prefill_energy_per_token(profile, input_len) * input_len
-    except OverflowError:  # input_len is past the float range
-        raise DomainError(_PREFILL_TOO_LARGE) from None
+    prefill_joules = prefill_energy_per_token(profile, input_len) * input_len
     return prefill_joules + decode_energy(profile, input_len, output_len)
 
 

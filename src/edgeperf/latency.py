@@ -36,10 +36,16 @@ class LatencyBreakdown:
         return self.prefill + self.decode
 
 
+# Every token count and position lies in [lo, 2**53], nan and +-inf excluded:
+# each is an exact float there, and no closed form overflows on it. Each call
+# checks a count where it enters, with one chained comparison.
+_MAX_TOKENS = 2**53
+
+
 def padded_length(input_len: int) -> int:
     """Round the input length up to the hardware tile multiple (128)."""
-    if input_len < 1:
-        raise DomainError("input_len must be >= 1", got=input_len)
+    if not 1 <= input_len <= _MAX_TOKENS:
+        raise DomainError("input_len must be in [1, 2**53]", got=input_len)
     return ((input_len + PAD_MULTIPLE - 1) // PAD_MULTIPLE) * PAD_MULTIPLE
 
 
@@ -55,21 +61,16 @@ def prefill_latency(profile: ModelProfile, input_len: int) -> float:
     if coeffs is None:
         raise MissingCoefficient(profile.id, "prefill_latency")
     ipad = padded_length(input_len)
-    try:
-        return coeffs.a * ipad * ipad + coeffs.b * ipad + coeffs.c
-    except OverflowError:  # ipad is past the float range
-        raise DomainError("input_len is too large for the prefill closed form") from None
+    return coeffs.a * ipad * ipad + coeffs.b * ipad + coeffs.c
 
 
 def tbt(profile: ModelProfile, context_len: int) -> float:
-    """Time between tokens at the given context length, in seconds."""
-    if context_len < 1:
-        raise DomainError("context_len must be >= 1", got=context_len)
+    """Time between tokens at the given context length, in seconds. A context
+    I + p - 1 sums two counts, so it may reach 2**54."""
+    if not 1 <= context_len <= 2 * _MAX_TOKENS:
+        raise DomainError("context_len must be in [1, 2**54]", got=context_len)
     coeffs = _decode_coeffs(profile)
-    try:
-        value = coeffs.m * context_len + coeffs.n
-    except OverflowError:  # context_len is past the float range
-        raise DomainError("context_len is too large for the TBT closed form") from None
+    value = coeffs.m * context_len + coeffs.n
     if value <= 0:
         raise NonpositiveTBT(
             f"TBT model of {profile.id!r} is nonpositive at context {context_len}"
@@ -101,27 +102,19 @@ def _tbt_zero(m: float, n: float, lo: int, hi: int) -> int | None:
     return _first(lambda x: m * x + n <= 0.0, lo, hi)
 
 
-# Integer arguments past the float range raise OverflowError in the closed
-# forms. The messages name the arguments: str() refuses an int of over 4300
-# digits.
-_DECODE_TOO_LARGE = "input_len or output_len is too large for the decode closed form"
-
-
 def _decode_domain(profile: ModelProfile, input_len: int, output_len: int) -> DecodeLatencyCoeffs:
-    """The decode coefficients, once I >= 1, O >= 0 and the TBT of every
-    context in [I, I+O-1] is positive; else tbt() raises at the first."""
+    """The decode coefficients, once I is in [1, 2**53], O in [0, 2**53] and
+    the TBT of every context in [I, I+O-1] is positive; else tbt() raises at
+    the first, which may lie past 2**53."""
     coeffs = _decode_coeffs(profile)
-    if input_len < 1:
-        raise DomainError("input_len must be >= 1", got=input_len)
-    if output_len < 0:
-        raise DomainError("output_len must be >= 0", got=output_len)
+    if not 1 <= input_len <= _MAX_TOKENS:
+        raise DomainError("input_len must be in [1, 2**53]", got=input_len)
+    if not 0 <= output_len <= _MAX_TOKENS:
+        raise DomainError("output_len must be in [0, 2**53]", got=output_len)
     m, n = coeffs.m, coeffs.n
     least = input_len if m >= 0 else input_len + output_len - 1  # where TBT is least
-    try:
-        if output_len and m * least + n <= 0:
-            tbt(profile, _tbt_zero(m, n, input_len, input_len + output_len - 1))
-    except OverflowError:  # a context past the float range
-        raise DomainError(_DECODE_TOO_LARGE) from None
+    if output_len and m * least + n <= 0:
+        tbt(profile, _tbt_zero(m, n, input_len, input_len + output_len - 1))
     return coeffs
 
 
@@ -134,10 +127,7 @@ def decode_latency(profile: ModelProfile, input_len: int, output_len: int) -> fl
     """
     coeffs = _decode_domain(profile, input_len, output_len)
     o = output_len
-    try:
-        return coeffs.n * o + coeffs.m * (input_len * o + o * (o - 1) / 2)
-    except OverflowError:  # an integer term past the float range
-        raise DomainError(_DECODE_TOO_LARGE) from None
+    return coeffs.n * o + coeffs.m * (input_len * o + o * (o - 1) / 2)
 
 
 def total_latency(profile: ModelProfile, input_len: int, output_len: int) -> LatencyBreakdown:
@@ -148,11 +138,9 @@ def total_latency(profile: ModelProfile, input_len: int, output_len: int) -> Lat
     )
 
 
-_MAX_TOKENS = 2**53  # no float counts single tokens past this
-
-
 def max_output_tokens(profile: ModelProfile, input_len: int, budget: LatencyBudget) -> int:
-    """Largest O >= 0 whose total latency fits inside the budget.
+    """Largest O >= 0 whose total latency fits inside the budget, for an
+    input_len in the count domain [1, 2**53].
 
     Each candidate is tested on the sum that total_latency(...).total returns,
     prefill + decode(O) <= budget, so the answer agrees with total_latency:

@@ -21,6 +21,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv):
+    """The CLI in a new interpreter, as a user runs it: an uncaught exception
+    would print its traceback, and warnings go through no test filter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "edgeperf.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 TOY_PROFILES = json.dumps(
     {
         "profiles": [
@@ -135,7 +149,7 @@ class TestInvert:
         [
             # These two stepped by one token from a guess near 1e150 and never ended.
             pytest.param("dsr1-llama-8b", "8192", "1e300", 1, "", id="former-hang-8b"),
-            pytest.param("dsr1-qwen-14b", str(10**25), "1e300", 1, "", id="former-hang-14b"),
+            pytest.param("dsr1-qwen-14b", str(2**40), "1e300", 1, "", id="former-hang-14b"),
             pytest.param(
                 "dsr1-qwen-14b", "512", "1e25", 0, "max_output_tokens=4207031618950714\n",
                 id="below-2**53",
@@ -145,30 +159,23 @@ class TestInvert:
         ],
     )
     def test_huge_budgets_end_in_a_fresh_process(self, model, input_len, budget, code, out):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        argv = ["invert", "--model", model, "--input", input_len, "--budget", budget]
-        proc = subprocess.run(
-            [sys.executable, "-m", "edgeperf.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = run_fresh("invert", "--model", model, "--input", input_len, "--budget", budget)
         assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
         if code:
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 BIG = str(10**400)  # past the float range
-LARGE = str(10**200)  # a float, but its square and I_pad**2 are not
+LARGE = str(10**200)  # a float, whose square is not
+
+HUGE_A_PROFILES = TOY_PROFILES.replace('"a": 1e-07', '"a": 1e+302')
 
 
 class TestOutOfRangeArguments:
-    """Integers past the float range, and results that would not be finite: exit 1, one line."""
+    """Counts past 2**53, and results that would not be finite: exit 1, one line."""
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, form",
         [
             (["predict", "--model", "dsr1-qwen-14b", "--input", "512", "--output", BIG], "decode"),
             (["predict", "--model", "dsr1-qwen-14b", "--input", "512", "--output", LARGE], "decode"),
@@ -178,24 +185,27 @@ class TestOutOfRangeArguments:
             (["invert", "--model", "dsr1-qwen-1.5b", "--input", BIG, "--budget", "1e300"], "prefill"),
         ],
     )
-    def test_integer_past_the_float_range(self, capsys, argv, message):
+    def test_integer_past_the_float_range(self, capsys, argv, form):
+        # Refused where the count enters, before the closed form of that phase.
+        rule = {"prefill": "input_len must be in [1", "decode": "output_len must be in [0"}[form]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error: input_len") and err.count("\n") == 1, err
-        assert f"for the {message} closed form" in err
+        assert err.startswith(f"error: {rule}, 2**53], got 10") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     @pytest.mark.parametrize(
         "argv",
         [
-            # a * I_pad**2 overflows to inf where I_pad itself is a float.
-            ["predict", "--model", "dsr1-qwen-14b", "--input", LARGE, "--output", "1"],
+            # a * I_pad**2 overflows to inf for a = 1e302 at an input of 8192.
+            ["predict", "--model", "toy", "--input", "8192", "--output", "1"],
             ["cost", "--tokens", "1", "--duration", "1e308", "--energy-kwh", "1e308", "--electricity", "10"],
         ],
         ids=["predict", "cost"],
     )
-    def test_infinite_result(self, capsys, argv, json_flag):
-        code, out, err = run(capsys, *argv, *json_flag)
+    def test_infinite_result(self, capsys, tmp_path, argv, json_flag):
+        profiles = tmp_path / "huge-a.json"  # cost reads no profile
+        profiles.write_text(HUGE_A_PROFILES)
+        code, out, err = run(capsys, *argv, "--profiles", str(profiles), *json_flag)
         assert (code, out) == (1, "")
         assert err == "error: the result is not finite; an argument is out of range\n"
 
@@ -425,17 +435,7 @@ class TestPlan:
         assert err != ""
 
     def test_unknown_technique_exit_2_without_traceback(self):
-        # A fresh process, so that an uncaught exception would print its traceback.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        argv = ["plan", "--technique", "foo", "--pareto", "accuracy,latency"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "edgeperf.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = run_fresh("plan", "--technique", "foo", "--pareto", "accuracy,latency")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "invalid choice: 'foo'" in proc.stderr
@@ -603,6 +603,17 @@ class TestFit:
             code, out, err = self.energy_fit(capsys, tmp_path, rows)
         assert (code, out) == (1, "")
         assert "not finite" in err
+
+    def test_warning_is_one_line_in_a_fresh_process(self):
+        proc = run_fresh(
+            "fit", "--kind", "exp-decay", "--phase", "prefill", "--y-field", "latency",
+            "--data", str(SHIPPED_DATA / "dsr1-qwen-14b-gpu.csv"),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "kind=exp_decay exp_A=0 exp_lambda=0 exp_C=0.744 residual_sse=0.933134 points_used=4\n"
+        )
+        assert proc.stderr == "warning: no exponential decay detected; returning the constant fit\n"
 
     def test_decay_on_one_input_length_exit_1(self, capsys, tmp_path):
         code, out, err = self.energy_fit(capsys, tmp_path, [(64, 0.3), (64, 0.2), (64, 0.25), (64, 0.22)])

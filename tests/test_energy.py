@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import warnings
 
 import pytest
@@ -24,7 +26,15 @@ from edgeperf.errors import (
     NonpositiveTBT,
     UnitUndeclared,
 )
-from edgeperf.latency import decode_latency, prefill_latency, tbt, total_latency
+from edgeperf.latency import (
+    LatencyBudget,
+    decode_latency,
+    max_output_tokens,
+    padded_length,
+    prefill_latency,
+    tbt,
+    total_latency,
+)
 from edgeperf.profiles import (
     DecodeLatencyCoeffs,
     ModelProfile,
@@ -124,8 +134,8 @@ class TestPrefillEnergyPerToken:
         assert at == pytest.approx(decay + p8.prefill_energy.exp_C)
 
     def test_integers_past_the_float_range(self, p15):
-        # The decay branch multiplies the rate by the input length.
-        with pytest.raises(DomainError, match="^input_len is too large for the prefill energy model$"):
+        # The decay branch multiplied the rate by the input length.
+        with pytest.raises(DomainError, match=r"^input_len must be in \[1, 2\*\*53\], got 10+$"):
             prefill_energy_per_token(p15, 10**400)
 
 
@@ -223,7 +233,8 @@ class TestDecodeEnergy:
     @pytest.mark.parametrize("output_len", [0, 10, 300], ids=["zero", "floor", "log"])
     @pytest.mark.parametrize("input_len", [0, -5])
     def test_input_len_domain(self, p14, input_len, output_len):
-        with pytest.raises(DomainError, match=f"^input_len must be >= 1, got {input_len}$"):
+        message = re.escape(f"input_len must be in [1, 2**53], got {input_len}")
+        with pytest.raises(DomainError, match=f"^{message}$"):
             decode_energy(p14, input_len, output_len)
 
     def test_zero_output_needs_decode_latency(self, registry):
@@ -233,7 +244,7 @@ class TestDecodeEnergy:
 
     @pytest.mark.parametrize("output_len", [10**200, 10**400])
     def test_integers_past_the_float_range(self, p14, output_len):
-        with pytest.raises(DomainError, match="too large for the decode closed form$"):
+        with pytest.raises(DomainError, match=r"^output_len must be in \[0, 2\*\*53\], got 10+$"):
             decode_energy(p14, 512, output_len)
 
 
@@ -272,7 +283,7 @@ class TestTotalEnergy:
         ],
     )
     def test_integers_past_the_float_range(self, registry, model):
-        with pytest.raises(DomainError, match="^input_len is too large for the prefill energy model$"):
+        with pytest.raises(DomainError, match=r"^input_len must be in \[1, 2\*\*53\], got 10+$"):
             total_energy(registry.get(model), 10**400, 1)
 
 
@@ -360,9 +371,61 @@ def test_integers_past_the_str_limit_are_domain_errors(p15, call):
         call(p15)
 
 
-def test_decode_power_past_the_str_limit_warns_by_size(p15, p14):
-    for profile in (p15, p14):
-        message = "at position an integer of 16610 bits exceeds the 60 W platform cap$"
-        with pytest.warns(ImplausibleWattsWarning, match=message):
-            watts = decode_power(profile, 10**5000)
-        assert math.isfinite(watts)
+INPUT = "input_len must be in [1, 2**53]"
+OUTPUT = "output_len must be in [0, 2**53]"
+
+# Every public call that takes a token count: the rule it states and the
+# largest count it accepts. A context sums two counts, so tbt() takes 2**54.
+COUNT_CALLS = [
+    pytest.param(lambda p, x: padded_length(x), INPUT, 2**53, id="padded_length"),
+    pytest.param(prefill_latency, INPUT, 2**53, id="prefill_latency"),
+    pytest.param(tbt, "context_len must be in [1, 2**54]", 2**54, id="tbt"),
+    pytest.param(lambda p, x: decode_latency(p, x, 1), INPUT, 2**53, id="decode_latency-input"),
+    pytest.param(lambda p, x: decode_latency(p, 1, x), OUTPUT, 2**53, id="decode_latency-output"),
+    pytest.param(lambda p, x: total_latency(p, x, 1).total, INPUT, 2**53, id="total_latency-input"),
+    pytest.param(lambda p, x: total_latency(p, 1, x).total, OUTPUT, 2**53, id="total_latency-output"),
+    pytest.param(
+        lambda p, x: max_output_tokens(p, x, LatencyBudget(1e26)), INPUT, 2**53, id="max_output_tokens"
+    ),
+    pytest.param(prefill_power, INPUT, 2**53, id="prefill_power"),
+    pytest.param(prefill_energy_per_token, INPUT, 2**53, id="prefill_energy_per_token"),
+    pytest.param(decode_power, "output_pos must be in [1, 2**53]", 2**53, id="decode_power"),
+    pytest.param(lambda p, x: decode_energy(p, x, 1), INPUT, 2**53, id="decode_energy-input"),
+    pytest.param(lambda p, x: decode_energy(p, 1, x), OUTPUT, 2**53, id="decode_energy-output"),
+    pytest.param(lambda p, x: total_energy(p, x, 1), INPUT, 2**53, id="total_energy-input"),
+    pytest.param(lambda p, x: total_energy(p, 1, x), OUTPUT, 2**53, id="total_energy-output"),
+]
+
+
+@pytest.fixture(scope="module")
+def every_set(p15, p14):
+    """The 14B profile with the 1.5B prefill power fit: one profile serves every call."""
+    return dataclasses.replace(p14, prefill_power=p15.prefill_power)
+
+
+@pytest.mark.parametrize("call, rule, bound", COUNT_CALLS)
+def test_count_domain_ends_at_its_bound(every_set, call, rule, bound):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ImplausibleWattsWarning)
+        assert math.isfinite(call(every_set, bound))
+    with pytest.raises(DomainError) as err:
+        call(every_set, bound + 1)
+    assert str(err.value) == f"{rule}, got {bound + 1}"
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (10**400, str(10**400)),  # past the float range
+        (10**5000, "an integer of 16610 bits"),  # past the str() limit
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+    ],
+    ids=["past-the-float-range", "past-the-str-limit", "nan", "inf", "-inf"],
+)
+@pytest.mark.parametrize("call, rule, bound", COUNT_CALLS)
+def test_counts_outside_the_domain_are_domain_errors(every_set, call, rule, bound, value, shown):
+    with pytest.raises(DomainError) as err:
+        call(every_set, value)
+    assert str(err.value) == f"{rule}, got {shown}"

@@ -145,20 +145,26 @@ class TestDecodeLatency:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        m=st.floats(-1e-14, -1e-20),
+        zero=st.floats(1e12, 2**53 - 2**16),
         n=st.floats(0.01, 1.0),
         input_len=st.integers(1, 8192),
     )
-    def test_far_zero_matches_tbt(self, m, n, input_len):
-        # Zeros at contexts 1e12..1e20, where ceil(-n/m) is often off by
+    def test_far_zero_matches_tbt(self, zero, n, input_len):
+        # Zeros at contexts 1e12..2**53, where ceil(-n/m) is often off by
         # rounding; the refused context must be tbt()'s first refusal.
-        profile = make_profile(m=m, n=n)
+        profile = make_profile(m=-n / zero, n=n)
         with pytest.raises(NonpositiveTBT) as info:
-            decode_latency(profile, input_len, 2**70)
+            decode_latency(profile, input_len, 2**53)
         bad = int(re.search(r"at context (\d+)$", str(info.value)).group(1))
         with pytest.raises(NonpositiveTBT):
             tbt(profile, bad)
         assert bad == input_len or tbt(profile, bad - 1) > 0
+
+    def test_nonpositive_context_past_2_53_keeps_its_error(self):
+        # Both counts are in [.., 2**53]; the context I + p - 1 they sum is not.
+        profile = make_profile(m=-1e-17, n=0.1)
+        with pytest.raises(NonpositiveTBT, match="at context 9999999999999999$"):
+            decode_latency(profile, 2**52, 2**53)
 
 
 class TestTotalLatency:
@@ -187,7 +193,9 @@ class TestTotalLatency:
         ],
     )
     def test_integers_past_the_float_range(self, registry, model, input_len, output_len, form):
-        with pytest.raises(DomainError, match=f"too large for the {form} closed form$"):
+        # Refused where the count enters, before the closed form of that phase.
+        rule = {"prefill": r"input_len must be in \[1", "decode": r"output_len must be in \[0"}[form]
+        with pytest.raises(DomainError, match=rf"^{rule}, 2\*\*53\], got 10+$"):
             total_latency(registry.get(model), input_len, output_len)
 
 
@@ -225,7 +233,7 @@ def test_integers_past_the_str_limit_are_domain_errors(p14, call):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda p: tbt(p, 10**400), "context_len is too large for the TBT closed form"),
+        (lambda p: tbt(p, 10**400), f"context_len must be in [1, 2**54], got {10**400}"),
         (
             lambda p: max_output_tokens(p, 512, LatencyBudget(10**400)),
             "budget limit must be finite to bound the output length",
