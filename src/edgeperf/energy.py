@@ -12,8 +12,9 @@ from .errors import (
     MissingCoefficient,
     UnitUndeclared,
 )
-from .latency import _MAX_TOKENS, _decode_domain, decode_latency
+from .latency import _decode_domain, decode_latency
 from .profiles import (
+    _MAX_TOKENS,
     EnergyUnit,
     ModelProfile,
     PiecewiseEnergyModel,
@@ -45,8 +46,8 @@ class UsageSample:
     energy: float
 
     def __post_init__(self):
-        if not 1 <= self.tokens < math.inf:
-            raise DomainError("tokens must be finite and >= 1", got=self.tokens)
+        if not 1 <= self.tokens <= _MAX_TOKENS:
+            raise DomainError("tokens must be in [1, 2**53]", got=self.tokens)
         if not 0 < self.duration < math.inf:
             raise DomainError("duration must be finite and > 0", got=self.duration)
         if not 0 <= self.energy < math.inf:

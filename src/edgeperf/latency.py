@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleBudget, MissingCoefficient, NonpositiveTBT
-from .profiles import PAD_MULTIPLE, DecodeLatencyCoeffs, ModelProfile
+from .profiles import _MAX_TOKENS, PAD_MULTIPLE, DecodeLatencyCoeffs, ModelProfile
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,6 @@ class LatencyBreakdown:
     @property
     def total(self) -> float:
         return self.prefill + self.decode
-
-
-# Every token count and position lies in [lo, 2**53], nan and +-inf excluded:
-# each is an exact float there, and no closed form overflows on it. Each call
-# checks a count where it enters, with one chained comparison.
-_MAX_TOKENS = 2**53
 
 
 def padded_length(input_len: int) -> int:

@@ -27,6 +27,11 @@ Source = Union[str, Path, IO[str]]
 
 PAD_MULTIPLE = 128
 
+# Every token count and position lies in [lo, 2**53], nan and +-inf excluded:
+# each is an exact float there, and no closed form overflows on it. Each call
+# checks a count where it enters, with one chained comparison.
+_MAX_TOKENS = 2**53
+
 
 class Precision(str, Enum):
     FP16 = "fp16"
@@ -177,8 +182,12 @@ class MeasurementRecord:
     def __post_init__(self):
         if self.input_len < 1:
             raise InvariantViolation("measurement.input_len", "input_len must be >= 1")
+        if self.input_len > _MAX_TOKENS:
+            raise InvariantViolation("measurement.input_len", "input_len must be <= 2**53")
         if self.output_len < 0:
             raise InvariantViolation("measurement.output_len", "output_len must be >= 0")
+        if self.output_len > _MAX_TOKENS:
+            raise InvariantViolation("measurement.output_len", "output_len must be <= 2**53")
         if not self.latency > 0:
             raise InvariantViolation("measurement.latency", "latency must be > 0")
         if self.power is not None and not self.power > 0:

@@ -395,6 +395,12 @@ class TestCost:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("tokens", [str(2**53 + 1), "1" + "0" * 400], ids=["2**53+1", "401-digits"])
+    def test_tokens_past_2_53_exit_1(self, capsys, tokens):
+        code, out, err = run(capsys, "cost", "--tokens", tokens, "--duration", "10", "--energy-kwh", "0.5")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: tokens must be in [1, 2**53], got ") and err.count("\n") == 1, err
+
 
 class TestPlan:
     def test_max_cost(self, capsys):
@@ -614,6 +620,21 @@ class TestFit:
             "kind=exp_decay exp_A=0 exp_lambda=0 exp_C=0.744 residual_sse=0.933134 points_used=4\n"
         )
         assert proc.stderr == "warning: no exponential decay detected; returning the constant fit\n"
+
+    @pytest.mark.parametrize("column", ["input_len", "output_len"])
+    def test_count_past_2_53_is_one_line(self, capsys, tmp_path, column):
+        # A bad measurement row is bad input (exit 2), as a row with input_len 0 is;
+        # 10**400 used to reach the float conversion in fit_decode_latency.
+        cells = {"input_len": "512", "output_len": "16", column: "1" + "0" * 400}
+        path = tmp_path / "decode.csv"
+        path.write_text(
+            "phase,input_len,output_len,latency_s,power_w,energy_j\n"
+            f"decode,{cells['input_len']},{cells['output_len']},0.8,,\n"
+            "decode,512,64,2.5,,\n"
+        )
+        code, out, err = run(capsys, "fit", "--kind", "decode-latency", "--data", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: measurement.{column}: {column} must be <= 2**53 (line 2)\n"
 
     def test_decay_on_one_input_length_exit_1(self, capsys, tmp_path):
         code, out, err = self.energy_fit(capsys, tmp_path, [(64, 0.3), (64, 0.2), (64, 0.25), (64, 0.22)])

@@ -332,8 +332,16 @@ class TestCost:
     @pytest.mark.parametrize("field", ["tokens", "duration", "energy"])
     def test_usage_refuses_non_finite(self, field, bad):
         fields = {"tokens": 1000, "duration": 10.0, "energy": 0.5, field: bad}
-        with pytest.raises(DomainError, match=f"{field} must be finite"):
+        rule = r"tokens must be in \[1, 2\*\*53\]" if field == "tokens" else f"{field} must be finite"
+        with pytest.raises(DomainError, match=rule):
             UsageSample(**fields)
+
+    @pytest.mark.parametrize("tokens", [0, 2**53 + 1, 10**400])
+    def test_usage_tokens_lie_in_the_count_domain(self, tokens):
+        # 10**400 passed the former `< math.inf` test and overflowed in tokens / 1e6.
+        with pytest.raises(DomainError, match=r"^tokens must be in \[1, 2\*\*53\], got "):
+            UsageSample(tokens=tokens, duration=10.0, energy=0.5)
+        assert UsageSample(tokens=2**53, duration=10.0, energy=0.5).tokens == 2**53
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("field", ["electricity", "hardware_rate"])

@@ -403,13 +403,13 @@ def _logint(rng, lo, hi):
     return min(hi, max(lo, round(math.exp(rng.uniform(math.log(lo), math.log(hi))))))
 
 
-def jump_curve(seed):
+def jump_curve(seed, sigma=0.03):
     """A curve drawn as the benchmark's piecewise fit ops draw theirs, seeded.
 
     The truth is a shipped profile's prefill energy (even seeds) or decode
     power (odd seeds), with the jump its two branches make at the threshold;
-    8-60 points, x log-uniform on each side (small x repeat), 3% lognormal
-    noise, unsorted.
+    8-60 points, x log-uniform on each side (small x repeat), lognormal
+    noise of ``sigma`` (3%), unsorted.
     """
     rng = random.Random(9100 + seed)
     n = rng.randint(8, 60)
@@ -432,7 +432,7 @@ def jump_curve(seed):
         right = [_logint(rng, last_left + 1, 8192) for _ in range(n - n_left)]
         if len(set(right)) >= 2:
             break
-    return [(float(x), truth(x) * math.exp(rng.gauss(0.0, 0.03))) for x in left + right]
+    return [(float(x), truth(x) * math.exp(rng.gauss(0.0, sigma))) for x in left + right]
 
 
 def piecewise_outcome(fit, points, kind):
@@ -671,23 +671,90 @@ class TestPiecewisePruning:
             _piecewise_reference, points, kind
         )
 
-    def test_the_bound_skips_decay_fits(self, monkeypatch):
+    @pytest.fixture
+    def decay_fits(self, monkeypatch):
+        """The number of points of every ``_exp_decay`` call, in call order."""
         calls = []
+        decay = fitting._exp_decay
 
         def counted(x, y):
             calls.append(len(x))
             return decay(x, y)
 
-        decay = fitting._exp_decay
         monkeypatch.setattr(fitting, "_exp_decay", counted)
+        return calls
+
+    def test_the_bound_skips_decay_fits(self, decay_fits):
         points = jump_curve(8)
         want = _piecewise_reference(points, "energy")
-        full, calls[:] = list(calls), []
+        full, decay_fits[:] = list(decay_fits), []
         assert fit_piecewise(points, "energy") == want
         # 43 candidates and the single-branch fit over all 50 points, of
-        # which the bound lets 14 left fits run, not the single-branch one.
-        assert (len(points), len(full), len(calls)) == (50, 44, 14)
-        assert 50 in full and 50 not in calls
+        # which the best-first scan runs 1 left fit (the x-order scan ran
+        # 14), the winner's, and not the single-branch one.
+        assert (len(points), len(full), len(decay_fits)) == (50, 44, 1)
+        assert 50 in full and 50 not in decay_fits
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(40, 2**32), st.sampled_from([0.03, 0.0]))
+    def test_jump_curves_match_the_full_scan(self, seed, sigma):
+        # Curves like the benchmark's: x >= 1 and, nearly always, every y > 0,
+        # so that every candidate has a bound and the best-first scan runs.
+        points = jump_curve(seed, sigma)
+        assert piecewise_outcome(fit_piecewise, points, "energy") == piecewise_outcome(
+            _piecewise_reference, points, "energy"
+        )
+
+    def test_decay_fits_over_the_jump_golden_curves(self, decay_fits):
+        for seed in GOLDEN_SEEDS:
+            fit_piecewise(jump_curve(seed), "energy")
+        # The full scan runs 1169 decay fits over these 40 curves and the
+        # x-order branch and bound 518.
+        assert len(decay_fits) == 126
+
+    def test_a_near_tie_takes_the_x_order_scan(self, decay_fits):
+        # Noise-free and continuous at 2448: the breakpoints 1744 and 2448 both
+        # fit exactly, so their totals tie within 1e-15. The least total is
+        # 2448's, but the x-order scan keeps the first, 1744.
+        xs = [392, 488, 1032, 1744, 2448, 2632, 3240, 3496]
+
+        def left(x):
+            return 0.16 * math.exp(-0.05 * x) + 0.003
+
+        beta = left(2448) - 0.015 * math.log(2448)
+        points = [(float(x), left(x) if x <= 2448 else 0.015 * math.log(x) + beta) for x in xs]
+        got = fit_piecewise(points, "energy")
+        assert len(decay_fits) == len(set(decay_fits))  # the x-order scan reuses each fit
+        assert got == _piecewise_reference(points, "energy")
+        assert got.coefficients.threshold == 1744.0
+
+    @pytest.mark.parametrize("where", ["negative x", "y <= 0 past a candidate"])
+    def test_an_unbounded_candidate_takes_the_x_order_scan(self, decay_fits, where):
+        points = sorted(jump_curve(8))
+        if where == "negative x":
+            points[0] = (-1.0, points[0][1])
+        else:
+            points[40] = (points[40][0], -points[40][1])
+        want = _piecewise_reference(points, "energy")
+        reference, decay_fits[:] = list(decay_fits), []
+        assert fit_piecewise(points, "energy") == want
+        # The x-order scan fits the first candidate first and goes up in x.
+        assert decay_fits[0] == reference[0] and decay_fits == sorted(decay_fits)
+        if where == "negative x":  # no candidate has a bound: every fit runs
+            assert decay_fits == reference
+        else:
+            assert len(decay_fits) < len(reference)
+
+    def test_a_non_finite_log_fit_at_a_bounded_candidate_raises(self, decay_fits):
+        # Every y but the last is positive and <= 1e100, so every candidate has
+        # a bound, and the last y makes every log fit's SSE overflow.
+        points = sorted(jump_curve(8))
+        points[-1] = (points[-1][0], -1e300)
+        want = piecewise_outcome(_piecewise_reference, points, "energy")
+        decay_fits[:] = []
+        assert want[0] == "DegenerateDesign"
+        assert piecewise_outcome(fit_piecewise, points, "energy") == want
+        assert decay_fits == []  # raised before any decay fit ran
 
     def test_the_bound_is_not_above_any_decay_fit(self):
         points = sorted(jump_curve(8))

@@ -427,6 +427,8 @@ class TestLoadMeasurements:
         [
             ({"input_len": 0}, "measurement.input_len", "input_len must be >= 1"),
             ({"output_len": -1}, "measurement.output_len", "output_len must be >= 0"),
+            ({"input_len": 2**53 + 1}, "measurement.input_len", "input_len must be <= 2**53"),
+            ({"output_len": 10**400}, "measurement.output_len", "output_len must be <= 2**53"),
             ({"latency": 0.0}, "measurement.latency", "latency must be > 0"),
             ({"power": 0.0}, "measurement.power", "power must be > 0 when present"),
             ({"energy": -1.0}, "measurement.energy", "energy must be > 0 when present"),
@@ -437,7 +439,16 @@ class TestLoadMeasurements:
                 "output_len must be >= 0",
             ),
         ],
-        ids=["input_len", "output_len", "latency", "power", "energy", "two-rules"],
+        ids=[
+            "input_len",
+            "output_len",
+            "input_len-past-2**53",
+            "output_len-past-2**53",
+            "latency",
+            "power",
+            "energy",
+            "two-rules",
+        ],
     )
     def test_record_raises_its_first_violation_when_built(self, bad, field, rule):
         values = {"phase": Phase.PREFILL, "input_len": 128, "latency": 0.2, **bad}
