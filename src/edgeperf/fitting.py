@@ -3,35 +3,42 @@
 All fits are least squares. The two latency fits (the prefill quadratic and
 the decode (m, n) pair) solve column-scaled normal equations and fall back to
 an SVD solve when the design is badly conditioned. Every other fit reduces to
-y ~ p*u + q for a known u, solved in closed form by ``_fit_two``: the log
-curve with u = ln x, the piecewise floor with a constant u, and the
-exponential decay with u = exp(-lambda*x) at each candidate rate (variable
-projection, Golub and Pereyra 1973). ``_exp_decay`` scans the rate on
-``_rate_grid()``, a read-only geometric grid built once, on first use, in
-one vectorised ``_fit_two`` pass, and refines it by golden section. Each
-golden-section probe does ``_fit_two``'s operations for one row in the same
-order, so its SSE is the same to the bit, but it keeps the scalars as Python
-floats and shares y's mean and centred copy with every probe of the call,
-which halves its cost. ``_exp_decay`` works on arrays, and both
-``fit_exp_decay`` and the decay branch of ``fit_piecewise`` call it. No
+y ~ p*u + q for a known u, solved in closed form: the log curve with
+u = ln x, the piecewise floor with a constant u, and the exponential decay
+with u = exp(-lambda*x) at each candidate rate (variable projection, Golub
+and Pereyra 1973). ``_fit_two`` fits every row of a 2-D u at once; it scans
+the decay rate on ``_rate_grid()``, a read-only geometric grid built once, on
+first use. ``_fit_line`` fits one row: it does ``_fit_two``'s operations in
+the same order, so its result is the same to the bit, but keeps the scalars
+as Python floats and takes y's mean and centred copy (``_centre``) from its
+caller, which halves its cost. The golden-section probes that refine the
+rate share one mean and centred copy per call. Every one-row fit goes
+through ``_fit_line``: the probes, the log curve, the piecewise floor and
+log branches, and the constant fits. ``_exp_decay`` works on arrays, and
+both ``fit_exp_decay`` and the decay branch of ``fit_piecewise`` call it. No
 public fitter calls another.
 
-``fit_piecewise(kind="energy")`` skips every decay fit that cannot win. A
-decay fit is non-increasing in x, so its SSE is at least that of the best
-non-increasing fit of the same points, which one pool-adjacent-violators
-pass gives for every prefix (``_nonincreasing_sse``, shrunk by a margin for
-rounding). The candidates are visited best first, in ascending order of
-their bound plus their log SSE, so the winner usually comes first and the
-bound skips almost every other candidate; a near tie falls back to the
-x-order scan. The bound is used only for x >= 0 and y <= 1e100, where no
-decay fit can overflow. Every fit that runs is the same, so the result is
-bit-identical to the full scan, with about a sixth of its decay fits.
+``fit_piecewise`` skips every branch fit that cannot win. Each branch fit is
+monotone in x: a decay fit is non-increasing, a floor is constant and a log
+fit follows the sign of its slope. So its SSE is at least that of the best
+monotone fit of the same points, which one pool-adjacent-violators pass
+gives for every prefix (``_nonincreasing_bounds``, shrunk by a margin for
+rounding); run on the reversed points it bounds every suffix. Both kinds
+visit the candidate breakpoints best first, in ascending order of a lower
+bound on their total SSE, and run a branch fit only when its candidate
+reaches the front, so the winner usually comes first and the bounds skip
+almost every other fit; a near tie falls back to the x-order scan. The
+bounds are used only where no skipped fit could have raised. Every fit that
+runs is the same, so the result is bit-identical to the full scan. Over
+the 40 jump curves in the tests, under both kinds, it runs 126 of the full
+scan's 1169 decay fits and 813 of its 3468 floor and log fits.
 
 Every coefficient and SSE is returned as a finite plain ``float``; a fit that
 would be non-finite raises ``DegenerateDesign`` instead.
 """
 
 import functools
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -146,8 +153,7 @@ def _fit_two(u: np.ndarray, y: np.ndarray):
     Centred sums keep the slope accurate, and the SSE is summed from the
     explicit residuals. A constant row has du = 0, so sxy = 0 and p = 0/1:
     the constant fit q = mean(y). Returns (p, q, sse), shaped like u[..., 0].
-    The rate grid, the log fits and the constant floor call it; the
-    golden-section probe in ``_exp_decay`` repeats its one-row case.
+    The rate grid calls it; ``_fit_line`` repeats its one-row case.
     """
     n = u.shape[-1]
     u_mean = u.sum(axis=-1, keepdims=True) / n  # what mean() computes, without its overhead
@@ -158,6 +164,30 @@ def _fit_two(u: np.ndarray, y: np.ndarray):
     q = y_mean - p * u_mean[..., 0]
     residuals = y - (p[..., None] * u + q[..., None])
     return p, q, (residuals * residuals).sum(axis=-1)
+
+
+def _centre(y: np.ndarray) -> tuple[float, np.ndarray]:
+    """y's mean and y less it, as ``_fit_two`` computes them, for ``_fit_line``."""
+    y_mean = float(np.add.reduce(y)) / len(y)
+    return y_mean, y - y_mean
+
+
+def _fit_line(u: np.ndarray, y: np.ndarray, y_mean: float, yc: np.ndarray) -> tuple[float, float, float]:
+    """``_fit_two(u, y)`` for one row u, as Python floats, given ``_centre(y)``.
+
+    It does ``_fit_two``'s operations in the same order on the same arrays,
+    so (p, q, sse) are the same to the bit. Python float arithmetic ignores
+    np.errstate but never raises here: it overflows to inf, carries nan, and
+    the (sxx == 0) term keeps the divisor nonzero.
+    """
+    n = len(y)
+    u_mean = float(np.add.reduce(u)) / n
+    du = u - u_mean
+    sxx = float(np.add.reduce(du * du))
+    p = float(du @ yc) / (sxx + (sxx == 0))
+    q = y_mean - p * u_mean
+    residuals = y - (p * u + q)
+    return p, q, float(np.add.reduce(residuals * residuals))
 
 
 @np.errstate(all="ignore")
@@ -221,7 +251,7 @@ def fit_log_curve(points: Sequence[tuple[float, float]], min_x: float = 1.0) -> 
         )
     x = np.array([p[0] for p in kept], dtype=np.float64)
     y = np.array([p[1] for p in kept], dtype=np.float64)
-    alpha, beta, sse = _finite(*_fit_two(np.log(x), y))
+    alpha, beta, sse = _finite(*_fit_line(np.log(x), y, *_centre(y)))
     return FitResult(
         coefficients=LogCurve(log_alpha=alpha, log_beta=beta),
         residual_sse=sse,
@@ -241,30 +271,15 @@ def _exp_decay(x: np.ndarray, y: np.ndarray) -> list[float]:
     """
     if np.any(y <= 0):
         raise InsufficientData("all y values must be positive")
+    y_mean, yc = _centre(y)  # shared by every probe
     if len(set(x.tolist())) == 1:
         # u = exp(-lambda*x) is then constant, but its rounded mean need not
         # equal it, which would leave a spurious slope in every probe.
-        _, floor, sse = _fit_two(np.zeros_like(y), y)
+        _, floor, sse = _fit_line(np.zeros_like(y), y, y_mean, yc)
         return _finite(0.0, 0.0, floor, sse)
 
-    # One golden-section probe: _fit_two's operations for one row, in the
-    # same order on the same arrays, with the scalars as Python floats and
-    # y's mean and centred copy shared by every probe. Python float
-    # arithmetic ignores np.errstate but never raises here: it overflows to
-    # inf, carries nan, and the (sxx == 0) term keeps the divisor nonzero.
-    n = len(y)
-    y_mean = float(np.add.reduce(y)) / n
-    yc = y - y_mean
-
     def fit_at(lam: float) -> tuple[float, float, float]:
-        u = np.exp(-lam * x)
-        u_mean = float(np.add.reduce(u)) / n
-        du = u - u_mean
-        sxx = float(np.add.reduce(du * du))
-        p = float(du @ yc) / (sxx + (sxx == 0))
-        q = y_mean - p * u_mean
-        residuals = y - (p * u + q)
-        return p, q, float(np.add.reduce(residuals * residuals))
+        return _fit_line(np.exp(-lam * x), y, y_mean, yc)
 
     grid = _rate_grid()
     best = int(np.argmin(_fit_two(np.exp(-np.outer(grid, x)), y)[2]))
@@ -288,7 +303,7 @@ def _exp_decay(x: np.ndarray, y: np.ndarray) -> list[float]:
     amp, floor, sse = fit_at(lam)
     if amp <= 0:
         amp, lam = 0.0, 0.0
-        _, floor, sse = _fit_two(np.zeros_like(y), y)
+        _, floor, sse = _fit_line(np.zeros_like(y), y, y_mean, yc)
     return _finite(amp, lam, floor, sse)
 
 
@@ -319,36 +334,74 @@ def fit_exp_decay(points: Sequence[tuple[float, float]]) -> FitResult:
     )
 
 
-def _nonincreasing_sse(xs: list[float], ys: list[float]) -> list[float]:
-    """Lower bounds on the SSE of any non-increasing fit of y on x, per prefix.
+def _nonincreasing_bounds(xs: list[float], ys: list[float]) -> list[float]:
+    """Lower bounds on the SSE of any fit of y that is non-increasing in list order, per prefix.
 
-    Entry n bounds the first n points, for n up to the first y <= 0. The
-    pool-adjacent-violators algorithm keeps the blocks of the best such fit
-    as (sum, count); equal x share a block. Each merge adds its non-negative
-    SSE increment c1*c2/(c1+c2) * (mean1 - mean2)**2, which avoids the
-    cancellation of sum(y**2) - sum(block sum**2 / count). Each entry is
-    shrunk by n*(1e-9*SSE + 1e-13*n*sum(y**2)) + 1e-300, which covers the
-    rounding of the block means and of the sums here and in the fit.
+    The fit must also be equal on equal x, so each run of equal x is pooled
+    into one block, whatever the order or sign of its y, before the
+    pool-adjacent-violators algorithm (Barlow et al. 1972) merges the blocks
+    of the best such fit, as (sum, count, mean), while they violate the order.
+    Each merge adds its non-negative SSE increment c1*c2/(c1+c2) *
+    (mean1 - mean2)**2, which avoids the cancellation of sum(y**2) -
+    sum(block sum**2 / count). Entry n bounds the first n points; an entry
+    inside a run is 0. Each entry at the end of a run is shrunk by
+    n*(1e-9*SSE + 1e-13*n*sum(y**2)) + 1e-300, which covers the rounding of
+    the block means and of the sums here and in the fit.
     """
-    bounds, blocks = [0.0], []
+    bounds, blocks = [0.0], []  # blocks of (sum, count, mean)
     sse = sum_y2 = 0.0
-    last_x = None
-    for x, y in zip(xs, ys):
-        if not y > 0:
-            break
-        total, count = y, 1
-        tied = x == last_x
-        while blocks and (tied or blocks[-1][0] / blocks[-1][1] < total / count):
-            prev_total, prev_count = blocks.pop()
-            gap = prev_total / prev_count - total / count
-            sse += prev_count * count / (prev_count + count) * (gap * gap)
-            total, count, tied = total + prev_total, count + prev_count, False
-        blocks.append((total, count))
+    total = count = 0  # the run being pooled
+    size = len(xs)
+    for n, (x, y) in enumerate(zip(xs, ys), 1):
+        if count:
+            gap = total / count - y
+            sse += count / (count + 1) * (gap * gap)
+        total += y
+        count += 1
         sum_y2 += y * y
-        last_x = x
-        n = len(bounds)
+        if n < size and xs[n] == x:
+            bounds.append(0.0)
+            continue
+        mean = total / count
+        while blocks and blocks[-1][2] < mean:
+            prev_total, prev_count, prev_mean = blocks.pop()
+            gap = prev_mean - mean
+            sse += prev_count * count / (prev_count + count) * (gap * gap)
+            total += prev_total
+            count += prev_count
+            mean = total / count
+        blocks.append((total, count, mean))
+        total = count = 0
         bounds.append(sse - n * (1e-9 * sse + 1e-13 * n * sum_y2) - 1e-300)
     return bounds
+
+
+def _left_bounds(xs: list[float], ys: list[float], kind: str) -> list[float]:
+    """Entry n is at most the SSE of the left branch's fit over the first n points, sorted.
+
+    A decay fit is non-increasing in x, and its entries stop at the first
+    y <= 0, where it raises. A floor is constant, so both the non-increasing
+    bound and the non-decreasing one (the non-increasing bound of -y) hold,
+    and the larger is taken.
+    """
+    if kind == "energy":
+        k = next((i for i, y in enumerate(ys) if not y > 0), len(ys))
+        return _nonincreasing_bounds(xs[:k], ys[:k])
+    return list(map(max, _nonincreasing_bounds(xs, ys), _nonincreasing_bounds(xs, [-y for y in ys])))
+
+
+def _right_bounds(xs: list[float], ys: list[float]) -> list[float]:
+    """Entry n is at most the SSE of the log fit over all but the first n points, sorted.
+
+    Rounding is monotone, so a log fit's values are monotone in x, in the
+    direction of its slope's sign. On the reversed points, the
+    non-increasing bound of y covers a rising fit and that of -y a falling
+    one, so the smaller of the two holds.
+    """
+    back_x, back_y = xs[::-1], ys[::-1]
+    rising = _nonincreasing_bounds(back_x, back_y)
+    falling = _nonincreasing_bounds(back_x, [-y for y in back_y])
+    return list(map(min, rising[::-1], falling[::-1]))
 
 
 @np.errstate(all="ignore")
@@ -363,39 +416,52 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     alone fits every point no worse, it is returned with an infinite
     threshold and no log branch.
 
-    The energy scan is branch and bound (Land and Doig 1960), best first.
-    bound[n], from ``_nonincreasing_sse``, is the SSE of the best
-    non-increasing fit of the n smallest x (Barlow et al. 1972), less a
-    margin for rounding. Every decay fit is non-increasing in x: A > 0 with
-    lambda > 0, or the constant fit. Its rounded fitted values are too, since
-    exp and rounding are monotone, so its SSE is at least bound[n], and a
-    candidate's total is at least its key, bound[n] + its log SSE, because
-    rounded addition is monotone.
+    The scan is branch and bound (Land and Doig 1960), best first, for both
+    kinds. Every branch fit is monotone in x and equal on equal x: a decay
+    fit (A > 0 with lambda > 0, or the constant fit) is non-increasing, a
+    floor is constant, and a log fit rises or falls with the sign of its
+    slope. Its rounded fitted values are too, since exp, ln and rounding
+    are monotone. So its SSE is at least that of the best such fit of its
+    points (Barlow et al. 1972), which ``_nonincreasing_bounds`` gives, less
+    a margin for rounding, for every prefix, after pooling each run of equal
+    x. ``_left_bounds`` bounds the left branch: a decay fit by the
+    non-increasing prefix bound, a floor by the larger of the non-increasing
+    and non-decreasing ones. ``_right_bounds`` bounds the log branch by the
+    smaller of the two suffix bounds. Rounded addition is monotone, so a
+    candidate's total is at least any sum of bounds and fitted SSEs of its
+    two branches.
 
-    When every candidate has a bound, each log fit is checked in x order,
-    then the candidates are visited in ascending key order, each decay fit
-    run once, until the least total U found so far passes ``U < key - 1e-15``.
-    The least total w is accepted if ``w < t - 1e-15`` holds for every other
-    total t found. It then holds for every skipped total too, since
-    t >= key and U = w, so the x-order scan, which keeps a total only when
-    it passes ``< best - 1e-15``, picks w as well. Otherwise (a near tie, as
-    in noise-free data), or when some candidate has no bound, the x-order
-    scan runs, reusing the decay fits already run: a candidate's decay fit
-    is skipped when its key cannot pass ``< best - 1e-15``. The
-    single-branch decay fit is skipped when bound[N] > best + 1e-15. The
-    result is bit-identical to the full x-order scan:
+    When every candidate has a left bound, the candidates go on a heap,
+    keyed by their left bound plus their right bound. Popping a candidate
+    the first time runs its log fit and pushes it back, keyed by its left
+    bound plus its log SSE; popping it again runs its left fit and records
+    its total. The scan stops once the least total U found so far passes
+    ``U < key - 1e-15`` for the least key left. The least total w is
+    accepted if ``w < t - 1e-15`` holds for every other total t found. It
+    then holds for every other total too, since t >= its key and U = w, so
+    the x-order scan, which keeps a total only when it passes
+    ``< best - 1e-15``, picks w as well. Otherwise (a near tie, as in
+    noise-free data), or when some candidate has no left bound, the x-order
+    scan runs, reusing the fits already run: a candidate's left fit is
+    skipped when its left bound plus its log SSE cannot pass
+    ``< best - 1e-15``. The single-branch fit is skipped when its bound is
+    above best + 1e-15. The result is bit-identical to the full x-order
+    scan:
 
     - a skipped candidate could not have won, and every fit that runs is
       the same, whatever the order it runs in;
-    - the tie rule and the order of exceptions are kept. In the x-order
-      scan the decay fit raises before ``_finite`` checks the log fit, which
-      still runs for a skipped candidate. Where every candidate has a bound
-      no decay fit raises, so the first non-finite log fit in x order raises
-      before any decay fit runs, as the full scan's raises at that candidate;
-    - the bound is used only when every x >= 0 and every y <= 1e100. Then
-      u = exp(-lambda*x) is in [0, 1], and a probe's p*u and q stay below
-      about 2**54 * sqrt(n) * max(y) in size, so no decay fit over a
-      positive prefix overflows: a skipped fit hides no ``DegenerateDesign``.
+    - the tie rule and the order of exceptions are kept. The left bounds are
+      used only where no left fit can raise: for power, when no x is nan and
+      every |y| <= 1e100; for energy, when every x >= 0 and every y <= 1e100,
+      where u = exp(-lambda*x) is in [0, 1] and no decay fit over a positive
+      prefix overflows. Where every |y| <= 1e100, p*u and q stay below about
+      2**54 * sqrt(n) * max|y| in size, so no floor or log fit is non-finite
+      either, unless the largest x is +inf, which makes every log fit
+      non-finite, so the first one run raises, as in x order. If some
+      y < -1e100 (energy), every log fit runs first, in x order, and its SSE
+      is its right bound, so the first non-finite one raises before any
+      decay fit runs, as the full scan's raises at that candidate. In the
+      x-order scan the left fit raises before the log fit is checked.
     """
     if kind not in ("power", "energy"):
         raise ValueError(f"kind must be 'power' or 'energy', got {kind!r}")
@@ -411,10 +477,17 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     def left_fit(n: int) -> tuple[float, dict]:
         """The left branch over the n smallest x: its SSE and model fields."""
         if kind == "power":
-            _, floor, sse = _finite(*_fit_two(np.zeros(n), ys[:n]))
+            y = ys[:n]
+            _, floor, sse = _finite(*_fit_line(np.zeros(n), y, *_centre(y)))
             return sse, {"floor_watts": floor}
         amp, lam, floor, sse = _exp_decay(xs[:n], ys[:n])
         return sse, {"exp_A": amp, "exp_lambda": lam, "exp_C": floor}
+
+    @functools.cache
+    def right_fit(n: int) -> list[float]:
+        """The log branch over all but the n smallest x: alpha, beta and SSE."""
+        y = ys[n:]
+        return _finite(*_fit_line(log_xs[n:], y, *_centre(y)))
 
     # n points on the left, x <= bp = xs[n - 1], and at least three on the
     # right. bp must end its run of equal x; the right needs two distinct x > 0.
@@ -423,40 +496,50 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
         for n in range(min_left, len(xs) - 2)
         if xs[n - 1] != xs[n] and xs[n] != xs[-1] and xs[n] > 0
     ]
-    rights = {n: _fit_two(log_xs[n:], ys[n:]) for n in candidates}
 
     def breakpoint_fit(n: int) -> tuple[float, float, dict, dict]:
         """(sse, threshold, left fields, right fields) of breakpoint xs[n - 1]."""
         sse_l, left = left_fit(n)
-        alpha, beta, sse_r = _finite(*rights[n])
+        alpha, beta, sse_r = right_fit(n)
         return sse_l + sse_r, float(xs[n - 1]), left, {"log_alpha": alpha, "log_beta": beta}
 
-    # bound[n] <= the SSE of every decay fit over the n smallest x, for each n
-    # below len(bound); empty where a skipped fit could have raised.
-    bound = []
-    if kind == "energy" and np.all(xs >= 0) and np.all(ys <= 1e100):
-        bound = _nonincreasing_sse(xs.tolist(), ys.tolist())
+    # left_lb[n] <= the SSE of every left fit over the n smallest x, for each
+    # n below len(left_lb); empty where a skipped fit could have raised.
+    small = np.all(np.abs(ys) <= 1e100)  # then no floor or log fit and no bound overflows
+    xl, yl = xs.tolist(), ys.tolist()
+    left_lb = []
+    if (kind == "power" and small and not np.isnan(xs).any()) or (
+        kind == "energy" and np.all(xs >= 0) and np.all(ys <= 1e100)
+    ):
+        left_lb = _left_bounds(xl, yl, kind)
 
     best = None  # (sse, threshold, left fields, right fields)
-    if candidates and candidates[-1] < len(bound):
-        # No decay fit raises here, so the x-order scan raises at its first
-        # non-finite log fit, and only there.
-        for n in candidates:
-            _finite(*rights[n])
-        keys = {n: bound[n] + rights[n][2] for n in candidates}
+    if candidates and candidates[-1] < len(left_lb):
+        # right_lb[n] <= the SSE of the log fit over all but the n smallest x.
+        if small:
+            right_lb = _right_bounds(xl, yl)
+        else:
+            # Some y < -1e100 (energy): the x-order scan raises at its first
+            # non-finite log fit, and only there.
+            right_lb = {n: right_fit(n)[2] for n in candidates}
+        heap = [(left_lb[n] + right_lb[n], n, False) for n in candidates]
+        heapq.heapify(heap)
         fits, least = {}, math.inf
-        for n in sorted(candidates, key=keys.get):
-            if least < keys[n] - 1e-15:
-                break
-            fits[n] = breakpoint_fit(n)
-            least = min(least, fits[n][0])
+        while heap and not least < heap[0][0] - 1e-15:
+            _, n, has_right = heapq.heappop(heap)
+            if has_right:
+                fits[n] = breakpoint_fit(n)
+                least = min(least, fits[n][0])
+            else:
+                heapq.heappush(heap, (left_lb[n] + right_fit(n)[2], n, True))
         win = min(fits.values(), key=lambda fit: fit[0])
         if all(win[0] < fit[0] - 1e-15 for fit in fits.values() if fit is not win):
             best = win
     if best is None:
         for n in candidates:
-            if best is not None and n < len(bound) and not bound[n] + rights[n][2] < best[0] - 1e-15:
-                _finite(*rights[n])  # a non-finite log fit still raises, as after the decay fit
+            # right_fit raises a non-finite log fit, as the full scan does
+            # after the left fit, which cannot raise where it has a bound.
+            if best is not None and n < len(left_lb) and not left_lb[n] + right_fit(n)[2] < best[0] - 1e-15:
                 continue
             try:
                 fit = breakpoint_fit(n)
@@ -468,7 +551,7 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     # Single-branch alternative over the whole domain; it may not fit
     # (a decay needs every y > 0) when a breakpoint does.
     single = None
-    if best is None or len(xs) >= len(bound) or bound[len(xs)] <= best[0] + 1e-15:
+    if best is None or len(xs) >= len(left_lb) or left_lb[len(xs)] <= best[0] + 1e-15:
         try:
             single = left_fit(len(xs))
         except InsufficientData:

@@ -111,6 +111,31 @@ class TestFitTwo:
         assert (p, q) == (0.0, pytest.approx(7.0 / 3.0))
         assert sse == pytest.approx(np.sum((y - 7.0 / 3.0) ** 2))
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(2, 60).flatmap(
+            lambda n: st.tuples(
+                st.one_of(
+                    st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+                    st.floats(-1e3, 1e3).map(lambda c: [c] * n),
+                    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)).flatmap(
+                        lambda two: st.lists(st.sampled_from(two), min_size=n, max_size=n)
+                    ),
+                ),
+                st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(-300, 100),
+    )
+    def test_one_row_fit_is_the_same_to_the_bit(self, rows, exponent):
+        # General, constant and two-valued u; y scaled from 1e-300 to 1e100.
+        u, y = np.array(rows[0]), np.array(rows[1]) * 10.0**exponent
+        with np.errstate(all="ignore"):
+            want = fitting._fit_two(u, y)
+            got = fitting._fit_line(u, y, *fitting._centre(y))
+        assert {type(v) for v in got} == {float}
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
 
 class TestFitPrefillLatency:
     def test_noiseless_round_trip(self):
@@ -661,6 +686,16 @@ def piecewise_points(draw):
     return points
 
 
+# Sorted, the run at x=500 holds y = -1 six times and then 2. Merged into the
+# bounds one point at a time, reversed or negated, that run over-merges and
+# the bound rises above the power curve's best fit.
+RUN_ORDER_TRAP = (
+    [(2.0, -1.0)] * 10
+    + [(7.0, -1.0), (501.0, 1.0), (500.0, -1.0), (500.0, -1.0), (500.0, 2.0)]
+    + [(500.0, -1.0)] * 4
+)
+
+
 class TestPiecewisePruning:
     """The pruned breakpoint scan against the full one it replaced."""
 
@@ -695,14 +730,22 @@ class TestPiecewisePruning:
         assert (len(points), len(full), len(decay_fits)) == (50, 44, 1)
         assert 50 in full and 50 not in decay_fits
 
+    @pytest.mark.parametrize("kind", ["energy", "power"])
+    def test_a_run_of_equal_x_is_pooled_whatever_its_order(self, kind):
+        assert piecewise_outcome(fit_piecewise, RUN_ORDER_TRAP, kind) == piecewise_outcome(
+            _piecewise_reference, RUN_ORDER_TRAP, kind
+        )
+
     @settings(deadline=None, max_examples=40)
     @given(st.integers(40, 2**32), st.sampled_from([0.03, 0.0]))
-    def test_jump_curves_match_the_full_scan(self, seed, sigma):
-        # Curves like the benchmark's: x >= 1 and, nearly always, every y > 0,
-        # so that every candidate has a bound and the best-first scan runs.
+    @pytest.mark.parametrize("kind", ["energy", "power"])
+    def test_jump_curves_match_the_full_scan(self, kind, seed, sigma):
+        # Curves like the benchmark's: x >= 1, every |y| <= 1e100 and, nearly
+        # always, every y > 0, so that every candidate has a bound and the
+        # best-first scan runs.
         points = jump_curve(seed, sigma)
-        assert piecewise_outcome(fit_piecewise, points, "energy") == piecewise_outcome(
-            _piecewise_reference, points, "energy"
+        assert piecewise_outcome(fit_piecewise, points, kind) == piecewise_outcome(
+            _piecewise_reference, points, kind
         )
 
     def test_decay_fits_over_the_jump_golden_curves(self, decay_fits):
@@ -711,6 +754,39 @@ class TestPiecewisePruning:
         # The full scan runs 1169 decay fits over these 40 curves and the
         # x-order branch and bound 518.
         assert len(decay_fits) == 126
+
+    @pytest.fixture
+    def branch_fits(self, monkeypatch):
+        """The number of points of every floor and log fit, in call order.
+
+        These are the one-row fits that ``fit_piecewise`` runs itself; those
+        that ``_exp_decay`` runs are not counted.
+        """
+        calls = []
+        line, decay = fitting._fit_line, fitting._exp_decay
+
+        def counted(u, y, y_mean, yc):
+            calls.append(len(y))
+            return line(u, y, y_mean, yc)
+
+        def uncounted(x, y):
+            before = len(calls)
+            try:
+                return decay(x, y)
+            finally:
+                del calls[before:]
+
+        monkeypatch.setattr(fitting, "_fit_line", counted)
+        monkeypatch.setattr(fitting, "_exp_decay", uncounted)
+        return calls
+
+    @pytest.mark.parametrize("kind, fits", [("energy", 436), ("power", 377)])
+    def test_branch_fits_over_the_jump_golden_curves(self, branch_fits, kind, fits):
+        for seed in GOLDEN_SEEDS:
+            fit_piecewise(jump_curve(seed), kind)
+        # The full scan runs 1124 log fits for energy and 2344 floor and log
+        # fits for power over these 40 curves.
+        assert len(branch_fits) == fits
 
     def test_a_near_tie_takes_the_x_order_scan(self, decay_fits):
         # Noise-free and continuous at 2448: the breakpoints 1744 and 2448 both
@@ -745,6 +821,17 @@ class TestPiecewisePruning:
         else:
             assert len(decay_fits) < len(reference)
 
+    def test_a_nan_x_takes_the_x_order_scan(self):
+        # A floor to x=16, then a log curve below it, with a nan x that stays
+        # between 14 and 15 when sorted. Every candidate up to there has a nan
+        # log fit, so the full scan raises at the first; the best-first scan
+        # would reach the winner, 16, without running any of them.
+        points = [(float(x), 5.0) for x in range(1, 17)] + [(float(x), 0.9 * math.log(x) - 0.5) for x in range(17, 21)]
+        points.insert(14, (math.nan, 5.0))
+        want = piecewise_outcome(_piecewise_reference, points, "power")
+        assert want[0] == "DegenerateDesign"
+        assert piecewise_outcome(fit_piecewise, points, "power") == want
+
     def test_a_non_finite_log_fit_at_a_bounded_candidate_raises(self, decay_fits):
         # Every y but the last is positive and <= 1e100, so every candidate has
         # a bound, and the last y makes every log fit's SSE overflow.
@@ -757,22 +844,46 @@ class TestPiecewisePruning:
         assert decay_fits == []  # raised before any decay fit ran
 
     def test_the_bound_is_not_above_any_decay_fit(self):
-        points = sorted(jump_curve(8))
-        xs = np.array([p[0] for p in points])
-        ys = np.array([p[1] for p in points])
-        bound = fitting._nonincreasing_sse(xs.tolist(), ys.tolist())
-        assert len(bound) == len(points) + 1
-        for n in range(4, len(points) + 1):
-            if n == len(points) or xs[n - 1] != xs[n]:
-                assert bound[n] <= fitting._exp_decay(xs[:n], ys[:n])[3]
-        # Prefixes stop at the first y <= 0, where a decay fit raises.
-        assert len(fitting._nonincreasing_sse([1.0, 2.0, 3.0], [3.0, -1.0, 2.0])) == 2
+        # Every left and right bound, at every candidate, against the floor,
+        # decay and log fits it bounds, and the left bound against the
+        # single-branch fit.
+        checked = 0
+        for points in [jump_curve(seed) for seed in GOLDEN_SEEDS] + [RUN_ORDER_TRAP]:
+            pts = sorted(points)
+            xs = np.array([p[0] for p in pts])
+            ys = np.array([p[1] for p in pts])
+            size = len(pts)
+            right = fitting._right_bounds(xs.tolist(), ys.tolist())
+            assert len(right) == size + 1
+            for kind in ("energy", "power"):
+                left = fitting._left_bounds(xs.tolist(), ys.tolist(), kind)
+                assert len(left) == size + 1 or kind == "energy"
+                for n in range(4 if kind == "energy" else 3, size + 1):
+                    if n < size and (xs[n - 1] == xs[n] or xs[n] == xs[-1] or xs[n] <= 0 or n > size - 3):
+                        continue  # not a candidate
+                    if n < len(left):
+                        if kind == "power":
+                            sse = fitting._fit_two(np.zeros(n), ys[:n])[2]
+                        else:
+                            sse = fitting._exp_decay(xs[:n], ys[:n])[3]
+                        assert left[n] <= sse
+                        checked += 1
+                    if n < size:
+                        assert right[n] <= fitting._fit_two(np.log(xs[n:]), ys[n:])[2]
+                        checked += 1
+        assert checked > 4000
+        # Decay prefixes stop at the first y <= 0, where a decay fit raises.
+        assert len(fitting._left_bounds([1.0, 2.0, 3.0], [3.0, -1.0, 2.0], "energy")) == 2
 
     def test_exp_is_monotone(self):
-        # The bound holds because exp(-lambda*x) never rises along sorted x.
+        # The bounds hold because exp(-lambda*x) never rises along sorted x,
+        # and ln x never falls.
         t = np.sort(np.random.default_rng(5).uniform(-746.0, 0.0, 100_000))
         assert np.all(np.exp(t) <= np.exp(np.nextafter(t, 0.0)))
         assert np.all(np.diff(np.exp(t)) >= 0)
+        x = np.sort(10.0 ** np.random.default_rng(6).uniform(-300.0, 300.0, 100_000))
+        assert np.all(np.log(x) <= np.log(np.nextafter(x, np.inf)))
+        assert np.all(np.diff(np.log(x)) >= 0)
 
 
 class TestFitPiecewise:
