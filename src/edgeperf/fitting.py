@@ -18,20 +18,24 @@ log branches, and the constant fits. ``_exp_decay`` works on arrays, and
 both ``fit_exp_decay`` and the decay branch of ``fit_piecewise`` call it. No
 public fitter calls another.
 
-``fit_piecewise`` skips every branch fit that cannot win. Each branch fit is
-monotone in x: a decay fit is non-increasing, a floor is constant and a log
-fit follows the sign of its slope. So its SSE is at least that of the best
-monotone fit of the same points, which one pool-adjacent-violators pass
-gives for every prefix (``_nonincreasing_bounds``, shrunk by a margin for
-rounding); run on the reversed points it bounds every suffix. Both kinds
-visit the candidate breakpoints best first, in ascending order of a lower
-bound on their total SSE, and run a branch fit only when its candidate
-reaches the front, so the winner usually comes first and the bounds skip
-almost every other fit; a near tie falls back to the x-order scan. The
-bounds are used only where no skipped fit could have raised. Every fit that
-runs is the same, so the result is bit-identical to the full scan. Over
-the 40 jump curves in the tests, under both kinds, it runs 126 of the full
-scan's 1169 decay fits and 813 of its 3468 floor and log fits.
+The curve fitters share one input domain (``_curve``): every x and y is
+finite, every |y| <= 1e100, and an energy curve has every x >= 0. Any other
+point raises ``DegenerateDesign``.
+
+``fit_piecewise`` visits the candidate breakpoints best first, from a heap
+keyed by a lower bound on each candidate's total SSE, and runs a branch fit
+only when its candidate reaches the front. Each branch fit is monotone in x:
+a decay fit is non-increasing, a floor is constant and a log fit follows the
+sign of its slope. So its SSE is at least that of the best monotone fit of
+the same points, which one pool-adjacent-violators pass gives for every
+prefix (``_nonincreasing_bounds``, shrunk by a margin for rounding); run on
+the reversed points it bounds every suffix. A decay prefix that holds a
+y <= 0 cannot be fitted, and its bound is +inf. The least total wins, and
+among totals within 1e-15 of it the smallest breakpoint, whatever the
+order they were found in. Inside the domain no skipped fit could have
+raised, so the result is bit-identical to the full scan. Over the 40 jump
+curves in the tests, under both kinds, it runs 126 of the full scan's 1169
+decay fits and 813 of its 3468 floor and log fits.
 
 Every coefficient and SSE is returned as a finite plain ``float``; a fit that
 would be non-finite raises ``DegenerateDesign`` instead.
@@ -241,21 +245,42 @@ def fit_decode_latency(records: Iterable[MeasurementRecord]) -> FitResult:
     )
 
 
+def _curve(points: Sequence[tuple[float, float]], kind: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """The x and y of ``points`` as float64 arrays, inside the curve fitters' domain.
+
+    Every x and y must be finite and every |y| <= 1e100, and an energy curve
+    (``kind="energy"``) needs every x >= 0; any other point raises
+    ``DegenerateDesign``. Inside it no floor, log or decay fit over a
+    positive prefix overflows, so no branch fit that ``fit_piecewise``
+    skips could have raised.
+    """
+    x = np.array([p[0] for p in points], dtype=np.float64)
+    y = np.array([p[1] for p in points], dtype=np.float64)
+    if not (np.isfinite(x).all() and (np.abs(y) <= 1e100).all()):
+        raise DegenerateDesign("a point is not finite or has |y| > 1e100; the measurements are out of range")
+    if kind == "energy" and (x < 0).any():
+        raise DegenerateDesign(f"an energy curve needs every x >= 0, found {float(x.min())!r}")
+    return x, y
+
+
 @np.errstate(all="ignore")
 def fit_log_curve(points: Sequence[tuple[float, float]], min_x: float = 1.0) -> FitResult:
-    """Fit y = alpha*ln(x) + beta over points with x >= min_x."""
-    kept = [(x, y) for x, y in points if x >= min_x]
-    if len({x for x, _ in kept}) < 2:
-        raise InsufficientData(
-            f"need >= 2 distinct x >= {min_x}, found {len({x for x, _ in kept})}"
-        )
-    x = np.array([p[0] for p in kept], dtype=np.float64)
-    y = np.array([p[1] for p in kept], dtype=np.float64)
+    """Fit y = alpha*ln(x) + beta over points with x >= min_x.
+
+    Every point, kept or not, must be finite with |y| <= 1e100; otherwise
+    ``DegenerateDesign``.
+    """
+    x, y = _curve(points)
+    kept = x >= min_x
+    x, y = x[kept], y[kept]
+    distinct = len(set(x.tolist()))
+    if distinct < 2:
+        raise InsufficientData(f"need >= 2 distinct x >= {min_x}, found {distinct}")
     alpha, beta, sse = _finite(*_fit_line(np.log(x), y, *_centre(y)))
     return FitResult(
         coefficients=LogCurve(log_alpha=alpha, log_beta=beta),
         residual_sse=sse,
-        points_used=len(kept),
+        points_used=len(x),
     )
 
 
@@ -311,15 +336,15 @@ def _exp_decay(x: np.ndarray, y: np.ndarray) -> list[float]:
 def fit_exp_decay(points: Sequence[tuple[float, float]]) -> FitResult:
     """Fit y = A*exp(-lambda*x) + C (``_exp_decay``) over >= 4 points and >= 3 distinct x.
 
-    Warns when the fit collapses to the constant fit.
+    Every point must be finite with |y| <= 1e100; otherwise
+    ``DegenerateDesign``. Warns when the fit collapses to the constant fit.
     """
     if len(points) < 4:
         raise InsufficientData(f"need >= 4 points, found {len(points)}")
-    x = np.array([p[0] for p in points], dtype=np.float64)
-    distinct = len(set(x.tolist()))
+    distinct = len({float(p[0]) for p in points})
     if distinct < 3:
         raise InsufficientData(f"need >= 3 distinct x, found {distinct}")
-    y = np.array([p[1] for p in points], dtype=np.float64)
+    x, y = _curve(points)
     amp, lam, floor, sse = _exp_decay(x, y)
     if amp == 0.0:  # only the collapse gives a zero amplitude
         warnings.warn(
@@ -379,14 +404,14 @@ def _nonincreasing_bounds(xs: list[float], ys: list[float]) -> list[float]:
 def _left_bounds(xs: list[float], ys: list[float], kind: str) -> list[float]:
     """Entry n is at most the SSE of the left branch's fit over the first n points, sorted.
 
-    A decay fit is non-increasing in x, and its entries stop at the first
-    y <= 0, where it raises. A floor is constant, so both the non-increasing
-    bound and the non-decreasing one (the non-increasing bound of -y) hold,
-    and the larger is taken.
+    A decay fit is non-increasing in x. It raises over any prefix that holds
+    a y <= 0, so its entries are +inf from the first such y on. A floor is
+    constant, so both the non-increasing bound and the non-decreasing one
+    (the non-increasing bound of -y) hold, and the larger is taken.
     """
     if kind == "energy":
         k = next((i for i, y in enumerate(ys) if not y > 0), len(ys))
-        return _nonincreasing_bounds(xs[:k], ys[:k])
+        return _nonincreasing_bounds(xs[:k], ys[:k]) + [math.inf] * (len(ys) - k)
     return list(map(max, _nonincreasing_bounds(xs, ys), _nonincreasing_bounds(xs, [-y for y in ys])))
 
 
@@ -409,71 +434,42 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     """Fit a two-regime model, selecting the breakpoint by combined SSE.
 
     ``kind`` is "power" (constant floor, then log) or "energy" (exponential
-    decay, then log). Breakpoint candidates are the observed x values with at
-    least three points on each side (four on the left for the decay branch),
-    two distinct positive x on the right, and a left side the decay branch
-    can fit; equal SSE prefers the smaller breakpoint. When the left branch
-    alone fits every point no worse, it is returned with an infinite
-    threshold and no log branch.
+    decay, then log). Every point must be finite with |y| <= 1e100, and for
+    energy have x >= 0; otherwise ``DegenerateDesign``. Breakpoint
+    candidates are the observed x values with at least three points on each
+    side (four on the left for the decay branch), two distinct positive x on
+    the right, and a left side the decay branch can fit (every y > 0). The
+    least total SSE wins; among totals within 1e-15 of it, the smallest
+    breakpoint. When the left branch alone fits every point no worse than
+    that winner, within 1e-15, it is returned with an infinite threshold and
+    no log branch.
 
-    The scan is branch and bound (Land and Doig 1960), best first, for both
-    kinds. Every branch fit is monotone in x and equal on equal x: a decay
-    fit (A > 0 with lambda > 0, or the constant fit) is non-increasing, a
-    floor is constant, and a log fit rises or falls with the sign of its
-    slope. Its rounded fitted values are too, since exp, ln and rounding
-    are monotone. So its SSE is at least that of the best such fit of its
-    points (Barlow et al. 1972), which ``_nonincreasing_bounds`` gives, less
-    a margin for rounding, for every prefix, after pooling each run of equal
-    x. ``_left_bounds`` bounds the left branch: a decay fit by the
-    non-increasing prefix bound, a floor by the larger of the non-increasing
-    and non-decreasing ones. ``_right_bounds`` bounds the log branch by the
-    smaller of the two suffix bounds. Rounded addition is monotone, so a
-    candidate's total is at least any sum of bounds and fitted SSEs of its
-    two branches.
-
-    When every candidate has a left bound, the candidates go on a heap,
-    keyed by their left bound plus their right bound. Popping a candidate
-    the first time runs its log fit and pushes it back, keyed by its left
-    bound plus its log SSE; popping it again runs its left fit and records
-    its total. The scan stops once the least total U found so far passes
-    ``U < key - 1e-15`` for the least key left. The least total w is
-    accepted if ``w < t - 1e-15`` holds for every other total t found. It
-    then holds for every other total too, since t >= its key and U = w, so
-    the x-order scan, which keeps a total only when it passes
-    ``< best - 1e-15``, picks w as well. Otherwise (a near tie, as in
-    noise-free data), or when some candidate has no left bound, the x-order
-    scan runs, reusing the fits already run: a candidate's left fit is
-    skipped when its left bound plus its log SSE cannot pass
-    ``< best - 1e-15``. The single-branch fit is skipped when its bound is
-    above best + 1e-15. The result is bit-identical to the full x-order
-    scan:
-
-    - a skipped candidate could not have won, and every fit that runs is
-      the same, whatever the order it runs in;
-    - the tie rule and the order of exceptions are kept. The left bounds are
-      used only where no left fit can raise: for power, when no x is nan and
-      every |y| <= 1e100; for energy, when every x >= 0 and every y <= 1e100,
-      where u = exp(-lambda*x) is in [0, 1] and no decay fit over a positive
-      prefix overflows. Where every |y| <= 1e100, p*u and q stay below about
-      2**54 * sqrt(n) * max|y| in size, so no floor or log fit is non-finite
-      either, unless the largest x is +inf, which makes every log fit
-      non-finite, so the first one run raises, as in x order. If some
-      y < -1e100 (energy), every log fit runs first, in x order, and its SSE
-      is its right bound, so the first non-finite one raises before any
-      decay fit runs, as the full scan's raises at that candidate. In the
-      x-order scan the left fit raises before the log fit is checked.
+    The scan is branch and bound (Land and Doig 1960), best first. Every
+    branch fit is monotone in x and equal on equal x: a decay fit is
+    non-increasing, a floor is constant, and a log fit rises or falls with
+    the sign of its slope, and rounding keeps that. So its SSE is at least
+    that of the best such fit of its points (Barlow et al. 1972), which
+    ``_left_bounds`` and ``_right_bounds`` give, less a margin for rounding,
+    for every prefix and suffix; a decay prefix that holds a y <= 0 is
+    bounded by +inf. The candidates go on a heap keyed by their left bound
+    plus their right bound. Popping a candidate the first time runs its log
+    fit and pushes it back, keyed by its left bound plus its log SSE;
+    popping it again runs its left fit and records its total. Rounded
+    addition is monotone, so every total is at least its key, and the scan
+    stops once the least total U passes ``U < key - 1e-15`` for the least
+    key left: every total within 1e-15 of U has then been found. Inside the
+    domain no fit that is skipped could have raised, so the result is the
+    full scan's, bit for bit.
     """
     if kind not in ("power", "energy"):
         raise ValueError(f"kind must be 'power' or 'energy', got {kind!r}")
     if len(points) < 6:
         raise InsufficientData(f"need >= 6 points, found {len(points)}")
-    pts = sorted(points)
-    xs = np.array([p[0] for p in pts], dtype=np.float64)
-    ys = np.array([p[1] for p in pts], dtype=np.float64)
+    xs, ys = _curve(sorted(points), kind)
+    xl, yl = xs.tolist(), ys.tolist()
     log_xs = np.log(xs)
-    min_left = 4 if kind == "energy" else 3
+    size = len(xl)
 
-    @functools.cache
     def left_fit(n: int) -> tuple[float, dict]:
         """The left branch over the n smallest x: its SSE and model fields."""
         if kind == "power":
@@ -483,90 +479,41 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
         amp, lam, floor, sse = _exp_decay(xs[:n], ys[:n])
         return sse, {"exp_A": amp, "exp_lambda": lam, "exp_C": floor}
 
-    @functools.cache
-    def right_fit(n: int) -> list[float]:
-        """The log branch over all but the n smallest x: alpha, beta and SSE."""
-        y = ys[n:]
-        return _finite(*_fit_line(log_xs[n:], y, *_centre(y)))
-
-    # n points on the left, x <= bp = xs[n - 1], and at least three on the
+    left_lb, right_lb = _left_bounds(xl, yl, kind), _right_bounds(xl, yl)
+    # n points on the left, x <= bp = xl[n - 1], and at least three on the
     # right. bp must end its run of equal x; the right needs two distinct x > 0.
-    candidates = [
-        n
-        for n in range(min_left, len(xs) - 2)
-        if xs[n - 1] != xs[n] and xs[n] != xs[-1] and xs[n] > 0
+    heap = [
+        (left_lb[n] + right_lb[n], n, None)
+        for n in range(4 if kind == "energy" else 3, size - 2)
+        if xl[n - 1] != xl[n] and xl[n] != xl[-1] and xl[n] > 0 and left_lb[n] < math.inf
     ]
-
-    def breakpoint_fit(n: int) -> tuple[float, float, dict, dict]:
-        """(sse, threshold, left fields, right fields) of breakpoint xs[n - 1]."""
-        sse_l, left = left_fit(n)
-        alpha, beta, sse_r = right_fit(n)
-        return sse_l + sse_r, float(xs[n - 1]), left, {"log_alpha": alpha, "log_beta": beta}
-
-    # left_lb[n] <= the SSE of every left fit over the n smallest x, for each
-    # n below len(left_lb); empty where a skipped fit could have raised.
-    small = np.all(np.abs(ys) <= 1e100)  # then no floor or log fit and no bound overflows
-    xl, yl = xs.tolist(), ys.tolist()
-    left_lb = []
-    if (kind == "power" and small and not np.isnan(xs).any()) or (
-        kind == "energy" and np.all(xs >= 0) and np.all(ys <= 1e100)
-    ):
-        left_lb = _left_bounds(xl, yl, kind)
-
-    best = None  # (sse, threshold, left fields, right fields)
-    if candidates and candidates[-1] < len(left_lb):
-        # right_lb[n] <= the SSE of the log fit over all but the n smallest x.
-        if small:
-            right_lb = _right_bounds(xl, yl)
+    heapq.heapify(heap)
+    fits, least = [], math.inf  # (total, threshold, left fields, right fields)
+    while heap and not least < heap[0][0] - 1e-15:
+        _, n, right = heapq.heappop(heap)
+        if right is None:
+            y = ys[n:]
+            alpha, beta, sse_r = _finite(*_fit_line(log_xs[n:], y, *_centre(y)))
+            heapq.heappush(heap, (left_lb[n] + sse_r, n, (sse_r, {"log_alpha": alpha, "log_beta": beta})))
         else:
-            # Some y < -1e100 (energy): the x-order scan raises at its first
-            # non-finite log fit, and only there.
-            right_lb = {n: right_fit(n)[2] for n in candidates}
-        heap = [(left_lb[n] + right_lb[n], n, False) for n in candidates]
-        heapq.heapify(heap)
-        fits, least = {}, math.inf
-        while heap and not least < heap[0][0] - 1e-15:
-            _, n, has_right = heapq.heappop(heap)
-            if has_right:
-                fits[n] = breakpoint_fit(n)
-                least = min(least, fits[n][0])
-            else:
-                heapq.heappush(heap, (left_lb[n] + right_fit(n)[2], n, True))
-        win = min(fits.values(), key=lambda fit: fit[0])
-        if all(win[0] < fit[0] - 1e-15 for fit in fits.values() if fit is not win):
-            best = win
-    if best is None:
-        for n in candidates:
-            # right_fit raises a non-finite log fit, as the full scan does
-            # after the left fit, which cannot raise where it has a bound.
-            if best is not None and n < len(left_lb) and not left_lb[n] + right_fit(n)[2] < best[0] - 1e-15:
-                continue
-            try:
-                fit = breakpoint_fit(n)
-            except InsufficientData:
-                continue
-            if best is None or fit[0] < best[0] - 1e-15:
-                best = fit
+            sse_l, left = left_fit(n)
+            fits.append((sse_l + right[0], xl[n - 1], left, right[1]))
+            least = min(least, fits[-1][0])
+    best = min((fit for fit in fits if not least < fit[0] - 1e-15), key=lambda fit: fit[1], default=None)
 
-    # Single-branch alternative over the whole domain; it may not fit
-    # (a decay needs every y > 0) when a breakpoint does.
-    single = None
-    if best is None or len(xs) >= len(left_lb) or left_lb[len(xs)] <= best[0] + 1e-15:
-        try:
-            single = left_fit(len(xs))
-        except InsufficientData:
-            if best is None:
-                raise
-    if single is not None and (best is None or single[0] <= best[0] + 1e-15):
-        best = (single[0], math.inf, single[1], {})
+    # The single-branch fit over every point; a decay fit raises here, where
+    # no breakpoint fits, when some y <= 0 (left_lb[size] is then +inf).
+    if best is None or left_lb[size] <= best[0] + 1e-15:
+        sse, left = left_fit(size)
+        if best is None or sse <= best[0] + 1e-15:
+            best = (sse, math.inf, left, {})
 
     sse, threshold, left, right = best
-    (sse,) = _finite(sse)
     model = PiecewisePowerModel if kind == "power" else PiecewiseEnergyModel
     return FitResult(
         coefficients=model(threshold=threshold, **left, **right),
         residual_sse=sse,
-        points_used=len(pts),
+        points_used=size,
     )
 
 

@@ -610,6 +610,17 @@ class TestFit:
         assert (code, out) == (1, "")
         assert "not finite" in err
 
+    def test_power_past_1e100_exit_1(self, capsys, tmp_path):
+        # The cell parses, but the fitters' domain ends at |y| = 1e100.
+        lines = ["phase,input_len,output_len,latency_s,power_w,energy_j"]
+        watts = [5.6, 5.6, 1e101, 5.6, 6.3, 6.9, 7.5, 8.1]
+        lines += [f"decode,512,{o},1.0,{w}," for o, w in zip((8, 16, 32, 64, 128, 256, 512, 1024), watts)]
+        path = tmp_path / "power.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "fit", "--kind", "piecewise-power", "--phase", "decode", "--data", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "1e100" in err
+
     def test_warning_is_one_line_in_a_fresh_process(self):
         proc = run_fresh(
             "fit", "--kind", "exp-decay", "--phase", "prefill", "--y-field", "latency",

@@ -460,6 +460,22 @@ def jump_curve(seed, sigma=0.03):
     return [(float(x), truth(x) * math.exp(rng.gauss(0.0, sigma))) for x in left + right]
 
 
+def cliff_curve(seed, n, sigma=0.03):
+    """An energy curve whose log side crosses zero, seeded: n points, x log-uniform on [1, 8192].
+
+    The 1.5B prefill energy decay up to x=300, then 0.01233*ln x - 0.09, which
+    is negative up to x=1480, as the shipped 1.5B decode energy's log fit,
+    -0.060*ln x + 0.091, is past x=5; lognormal noise of ``sigma``, unsorted.
+    """
+    rng = random.Random(seed)
+    points = []
+    for _ in range(n):
+        x = math.exp(rng.uniform(0.0, math.log(8192)))
+        y = 0.07308 * math.exp(-0.03195 * x) + 0.000923 if x <= 300 else 0.01233 * math.log(x) - 0.09
+        points.append((x, y * math.exp(rng.gauss(0.0, sigma))))
+    return points
+
+
 def piecewise_outcome(fit, points, kind):
     """("ok", float.hex of every float field and the SSE) or (error type, message)."""
     try:
@@ -616,10 +632,14 @@ SEEDED_ENERGY_CURVES = {
 
 @np.errstate(all="ignore")
 def _piecewise_reference(points, kind):
-    """``fit_piecewise`` with every breakpoint's fits run, the scan its pruning must match bit for bit."""
+    """``fit_piecewise`` with every breakpoint's fits run, the scan its pruning must match bit for bit.
+
+    It takes the fitters' domain from ``fitting._curve`` and applies the tie
+    rule itself, over every total: the least wins, or among the totals within
+    1e-15 of it, the first in x order.
+    """
     pts = sorted(points)
-    xs = np.array([p[0] for p in pts], dtype=np.float64)
-    ys = np.array([p[1] for p in pts], dtype=np.float64)
+    xs, ys = fitting._curve(pts, kind)
     log_xs = np.log(xs)
 
     def left_fit(n):
@@ -629,7 +649,7 @@ def _piecewise_reference(points, kind):
         amp, lam, floor, sse = fitting._exp_decay(xs[:n], ys[:n])
         return sse, {"exp_A": amp, "exp_lambda": lam, "exp_C": floor}
 
-    best = None
+    fits = []  # in x order
     for n in range(4 if kind == "energy" else 3, len(xs) - 2):
         bp = float(xs[n - 1])
         if bp == xs[n] or xs[n] == xs[-1] or xs[n] <= 0:
@@ -639,8 +659,11 @@ def _piecewise_reference(points, kind):
         except InsufficientData:
             continue
         alpha, beta, sse_r = fitting._finite(*fitting._fit_two(log_xs[n:], ys[n:]))
-        if best is None or sse_l + sse_r < best[0] - 1e-15:
-            best = (sse_l + sse_r, bp, left, {"log_alpha": alpha, "log_beta": beta})
+        fits.append((sse_l + sse_r, bp, left, {"log_alpha": alpha, "log_beta": beta}))
+    best = None
+    if fits:
+        least = min(fit[0] for fit in fits)
+        best = next(fit for fit in fits if not least < fit[0] - 1e-15)
     try:
         single = left_fit(len(xs))
     except InsufficientData:
@@ -788,10 +811,10 @@ class TestPiecewisePruning:
         # fits for power over these 40 curves.
         assert len(branch_fits) == fits
 
-    def test_a_near_tie_takes_the_x_order_scan(self, decay_fits):
+    def test_a_near_tie_goes_to_the_smaller_breakpoint(self, decay_fits):
         # Noise-free and continuous at 2448: the breakpoints 1744 and 2448 both
         # fit exactly, so their totals tie within 1e-15. The least total is
-        # 2448's, but the x-order scan keeps the first, 1744.
+        # 2448's, but the tie goes to the smaller breakpoint, 1744.
         xs = [392, 488, 1032, 1744, 2448, 2632, 3240, 3496]
 
         def left(x):
@@ -800,41 +823,45 @@ class TestPiecewisePruning:
         beta = left(2448) - 0.015 * math.log(2448)
         points = [(float(x), left(x) if x <= 2448 else 0.015 * math.log(x) + beta) for x in xs]
         got = fit_piecewise(points, "energy")
-        assert len(decay_fits) == len(set(decay_fits))  # the x-order scan reuses each fit
+        assert len(decay_fits) == len(set(decay_fits))  # each left fit runs once
         assert got == _piecewise_reference(points, "energy")
         assert got.coefficients.threshold == 1744.0
 
     @pytest.mark.parametrize("where", ["negative x", "y <= 0 past a candidate"])
     def test_an_unbounded_candidate_takes_the_x_order_scan(self, decay_fits, where):
+        # Neither case takes an x-order scan any more. A negative x is outside
+        # the energy fit's domain. A candidate past the first y <= 0 has a
+        # +inf left bound and never reaches the front of the heap.
         points = sorted(jump_curve(8))
         if where == "negative x":
             points[0] = (-1.0, points[0][1])
-        else:
-            points[40] = (points[40][0], -points[40][1])
+            with pytest.raises(DegenerateDesign, match="x >= 0"):
+                fit_piecewise(points, "energy")
+            with pytest.raises(DegenerateDesign, match="x >= 0"):
+                _piecewise_reference(points, "energy")
+            assert decay_fits == []
+            return
+        points[40] = (points[40][0], -points[40][1])
         want = _piecewise_reference(points, "energy")
         reference, decay_fits[:] = list(decay_fits), []
         assert fit_piecewise(points, "energy") == want
-        # The x-order scan fits the first candidate first and goes up in x.
-        assert decay_fits[0] == reference[0] and decay_fits == sorted(decay_fits)
-        if where == "negative x":  # no candidate has a bound: every fit runs
-            assert decay_fits == reference
-        else:
-            assert len(decay_fits) < len(reference)
+        assert want.coefficients.threshold == 336.0
+        # The reference runs 44 decay fits; the best-first scan runs the winner's.
+        assert (len(reference), len(decay_fits)) == (44, 1)
 
     def test_a_nan_x_takes_the_x_order_scan(self):
-        # A floor to x=16, then a log curve below it, with a nan x that stays
-        # between 14 and 15 when sorted. Every candidate up to there has a nan
-        # log fit, so the full scan raises at the first; the best-first scan
-        # would reach the winner, 16, without running any of them.
+        # A nan x once sent the scan to the x-order loop; it is now outside the
+        # domain. A floor to x=16, then a log curve below it, with a nan x that
+        # stays between 14 and 15 when sorted.
         points = [(float(x), 5.0) for x in range(1, 17)] + [(float(x), 0.9 * math.log(x) - 0.5) for x in range(17, 21)]
         points.insert(14, (math.nan, 5.0))
         want = piecewise_outcome(_piecewise_reference, points, "power")
-        assert want[0] == "DegenerateDesign"
+        assert want[0] == "DegenerateDesign" and "not finite" in want[1]
         assert piecewise_outcome(fit_piecewise, points, "power") == want
 
-    def test_a_non_finite_log_fit_at_a_bounded_candidate_raises(self, decay_fits):
-        # Every y but the last is positive and <= 1e100, so every candidate has
-        # a bound, and the last y makes every log fit's SSE overflow.
+    def test_a_huge_y_is_refused_before_any_fit(self, decay_fits):
+        # Every y but the last is positive and <= 1e100; the last, -1e300,
+        # would make every log fit's SSE overflow.
         points = sorted(jump_curve(8))
         points[-1] = (points[-1][0], -1e300)
         want = piecewise_outcome(_piecewise_reference, points, "energy")
@@ -844,11 +871,12 @@ class TestPiecewisePruning:
         assert decay_fits == []  # raised before any decay fit ran
 
     def test_the_bound_is_not_above_any_decay_fit(self):
-        # Every left and right bound, at every candidate, against the floor,
-        # decay and log fits it bounds, and the left bound against the
+        # Every finite left and right bound, at every candidate, against the
+        # floor, decay and log fits it bounds, and the left bound against the
         # single-branch fit.
         checked = 0
-        for points in [jump_curve(seed) for seed in GOLDEN_SEEDS] + [RUN_ORDER_TRAP]:
+        curves = [jump_curve(seed) for seed in GOLDEN_SEEDS] + [cliff_curve(seed, 60) for seed in range(10)]
+        for points in curves + [RUN_ORDER_TRAP]:
             pts = sorted(points)
             xs = np.array([p[0] for p in pts])
             ys = np.array([p[1] for p in pts])
@@ -857,23 +885,49 @@ class TestPiecewisePruning:
             assert len(right) == size + 1
             for kind in ("energy", "power"):
                 left = fitting._left_bounds(xs.tolist(), ys.tolist(), kind)
-                assert len(left) == size + 1 or kind == "energy"
+                assert len(left) == size + 1
                 for n in range(4 if kind == "energy" else 3, size + 1):
                     if n < size and (xs[n - 1] == xs[n] or xs[n] == xs[-1] or xs[n] <= 0 or n > size - 3):
                         continue  # not a candidate
-                    if n < len(left):
+                    if left[n] < math.inf:
                         if kind == "power":
                             sse = fitting._fit_two(np.zeros(n), ys[:n])[2]
                         else:
                             sse = fitting._exp_decay(xs[:n], ys[:n])[3]
                         assert left[n] <= sse
                         checked += 1
+                    else:  # the decay fit of a prefix with a y <= 0 raises
+                        assert kind == "energy" and min(ys[:n]) <= 0
                     if n < size:
                         assert right[n] <= fitting._fit_two(np.log(xs[n:]), ys[n:])[2]
                         checked += 1
         assert checked > 4000
-        # Decay prefixes stop at the first y <= 0, where a decay fit raises.
-        assert len(fitting._left_bounds([1.0, 2.0, 3.0], [3.0, -1.0, 2.0], "energy")) == 2
+        # Decay prefixes are +inf from the first y <= 0 on, where a decay fit raises.
+        bounds = fitting._left_bounds([1.0, 2.0, 3.0], [3.0, -1.0, 2.0], "energy")
+        assert len(bounds) == 4 and bounds[2:] == [math.inf, math.inf]
+
+    def test_a_cliff_curve_runs_one_decay_fit(self, decay_fits):
+        # The log side crosses zero, as the shipped 1.5B decode energy does:
+        # every candidate past the first y <= 0 has a +inf bound. The x-order
+        # scan that such a curve used to take ran 995 decay fits here.
+        fit_piecewise(cliff_curve(1, 1000), "energy")
+        assert len(decay_fits) == 1
+        points = cliff_curve(1, 200)
+        assert min(y for _, y in points) <= 0
+        assert piecewise_outcome(fit_piecewise, points, "energy") == piecewise_outcome(
+            _piecewise_reference, points, "energy"
+        )
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32), st.integers(8, 60), st.sampled_from([0.03, 0.0]))
+    @pytest.mark.parametrize("kind", ["energy", "power"])
+    def test_cliff_curves_match_the_full_scan(self, kind, seed, n, sigma):
+        # In the domain, with a log side that crosses zero: the energy scan
+        # meets candidates whose left bound is +inf, the power scan y <= 0.
+        points = cliff_curve(seed, n, sigma)
+        assert piecewise_outcome(fit_piecewise, points, kind) == piecewise_outcome(
+            _piecewise_reference, points, kind
+        )
 
     def test_exp_is_monotone(self):
         # The bounds hold because exp(-lambda*x) never rises along sorted x,
@@ -1023,6 +1077,41 @@ class TestNonFinite:
             # "returning the constant fit" warning for a fit that is refused.
             with pytest.raises(DegenerateDesign):
                 fit_exp_decay([(x, x * 1e154) for x in (1, 2, 3, 4, 5)])
+
+
+class TestDomain:
+    """The curve fitters refuse a point outside their domain, and the parent code did not."""
+
+    def test_a_nan_x_never_becomes_the_threshold(self):
+        # The nan sorts to index 2, where it used to pass as a breakpoint with SSE 0.
+        points = [(1.0, 5.0), (2.0, 5.0), (math.nan, 5.0)] + [(float(x), 0.9 * math.log(x) + 3) for x in range(20, 27)]
+        with pytest.raises(DegenerateDesign, match="not finite"):
+            fit_piecewise(points, kind="power")
+
+    def test_a_y_past_1e100_is_refused(self):
+        # This power curve used to fit, with its breakpoint at 7.
+        points = [(float(x), 5.0) for x in range(1, 8)] + [(float(x), 0.9 * math.log(x) + 3) for x in range(20, 27)]
+        points[7] = (20.0, 5e100)
+        for fit in (fit_exp_decay, fit_log_curve, lambda p: fit_piecewise(p, kind="power")):
+            with pytest.raises(DegenerateDesign, match="1e100"):
+                fit(points)
+        points[7] = (20.0, 1e100)
+        assert fit_piecewise(points, kind="power").coefficients.threshold == 7.0
+
+    def test_an_energy_x_below_zero_is_refused(self):
+        points = [(float(x), 0.29 * math.exp(-0.03 * x) + 0.009) for x in (16, 32, 64, 128, 256)]
+        points += [(float(x), 0.016 * math.log(x) - 0.07) for x in (512, 1024, 2048, 4096)]
+        points[0] = (-16.0, points[0][1])
+        with pytest.raises(DegenerateDesign, match=r"x >= 0, found -16\.0"):
+            fit_piecewise(points, kind="energy")
+        fit_piecewise(points, kind="power")  # a floor fits any x
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_log_curve_point_below_min_x_is_still_checked(self, bad):
+        points = [(float(x), 0.5 * math.log(x)) for x in (2, 4, 8)] + [(0.5, bad)]
+        with pytest.raises(DegenerateDesign, match="not finite"):
+            fit_log_curve(points)
+        assert fit_log_curve(points[:3]).points_used == 3
 
 
 def test_every_fitter_returns_plain_floats():
