@@ -513,6 +513,54 @@ def test_json_record_stdout_pinned(capsys, command, argv):
     assert out == RECORD_JSON_GOLDEN[command]
 
 
+# dsr1-qwen-14b's prefill energy per token, an exponential decay to x = 384
+# and then its log tail, at 40 log-uniform input lengths with 3% lognormal
+# noise (random.Random(22)). Its decay fits' --json bytes were recorded
+# while every golden-section probe ran as its own one-row fit.
+DECAY_CSV = DATA / "decay_log_tail.csv"
+DECAY_JSON_GOLDEN = {
+    "exp-decay": """{
+  "fit": {
+    "exp_decay": {
+      "exp_A": 0.2773362606942629,
+      "exp_lambda": 0.036957027529562356,
+      "exp_C": 0.03120258672678651
+    }
+  },
+  "residual_sse": 0.010396926504800563,
+  "points_used": 40
+}
+""",
+    "piecewise-energy": """{
+  "fit": {
+    "energy": {
+      "threshold": 361.0,
+      "unit": "fitted",
+      "exp_A": 0.2914004906130839,
+      "exp_lambda": 0.029889967394559038,
+      "exp_C": 0.008521571999784608,
+      "log_alpha": 0.016448650387163703,
+      "log_beta": -0.0797138820003179
+    }
+  },
+  "residual_sse": 0.00045090830899871455,
+  "points_used": 40
+}
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DECAY_JSON_GOLDEN))
+def test_decay_fit_json_stdout_pinned(capsys, kind):
+    """The decay fits' --json bytes on a measurement file, to the last digit."""
+    code, out, err = run(
+        capsys, "fit", "--json", "--kind", kind, "--phase", "prefill", "--y-field", "energy",
+        "--data", str(DECAY_CSV),
+    )
+    assert (code, err) == (0, "")
+    assert out == DECAY_JSON_GOLDEN[kind]
+
+
 class TestVote:
     def test_majority(self, capsys):
         code, out, _ = run(capsys, "vote", "B", "A", "B")

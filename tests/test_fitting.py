@@ -4,10 +4,11 @@ import math
 import random
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgeperf import fitting, planner
@@ -607,6 +608,87 @@ class TestExtremeInputs:
             assert all(math.isfinite(float.fromhex(v)) for k, v in fields.items() if k != "threshold")
 
 
+@st.composite
+def decay_curve(draw):
+    """x and y as ``TestExpDecayReference`` draws them, some x past 1e300, or
+    (one curve in five) every x past 1e300, where exp(-rate*x) underflows to 0
+    and the fit takes its sxx == 0 branch."""
+    n = draw(st.integers(3, 60))
+    huge = st.floats(1e300, 1.7e308)
+    x = huge if draw(st.integers(0, 4)) == 0 else st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 5000.0), huge)
+    points = draw(st.lists(st.tuples(x, st.floats(1e-6, 1e3)), min_size=n, max_size=n))
+    return np.array([p[0] for p in points]), np.array([p[1] for p in points])
+
+
+def seeded_decay_curve(seed, n=40):
+    """The 14B prefill energy decay at n log-uniform x in [1, 512], 3% lognormal noise."""
+    rng = random.Random(seed)
+    x = [float(round(math.exp(rng.uniform(0.0, math.log(512))))) for _ in range(n)]
+    y = [(0.29327 * math.exp(-0.03058 * v) + 0.009234) * rng.lognormvariate(0.0, 0.03) for v in x]
+    return np.array(x), np.array(y)
+
+
+class TestProbeBatches:
+    """``_exp_decay`` computes its golden-section probes in batches along a predicted path."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        decay_curve(),
+        st.lists(st.one_of(st.sampled_from([1e-5, 1.0]), st.floats(1e-5, 1.0)), min_size=1, max_size=20),
+    )
+    @example((np.array([1e300, 2e300, 3e300, 4e300]), np.array([1.0, 0.5, 0.2, 0.1])), [1e-5, 1.0])
+    def test_each_row_is_the_one_row_fit_to_the_bit(self, curve, rates):
+        x, y = curve
+        y_mean, yc = fitting._centre(y)
+        with np.errstate(all="ignore"):
+            got = fitting._probe_sses(-x, y, y_mean, yc, rates)
+            want = [fitting._fit_line(np.exp(-r * x), y, y_mean, yc)[2] for r in rates]
+        assert {type(v) for v in got} == {float}
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The number of rates of every ``_probe_sses`` call, in call order."""
+        calls = []
+        probe = fitting._probe_sses
+
+        def counted(neg_x, y, y_mean, yc, rates):
+            calls.append(len(rates))
+            return probe(neg_x, y, y_mean, yc, rates)
+
+        monkeypatch.setattr(fitting, "_probe_sses", counted)
+        return calls
+
+    def test_batches_on_a_seeded_curve(self, batches):
+        x, y = seeded_decay_curve(40)
+        assert outcome(fitting._exp_decay, x, y) == outcome(_exp_decay_reference, x, y)
+        # The search probes 29 rates, which the reference fits one at a time.
+        # The first batch is c, d and 12 predicted rates; each later one is a
+        # missing rate and up to 12 predicted, fewer where the predicted
+        # search ends.
+        assert batches == [14, 13, 12]
+
+    @settings(deadline=None, max_examples=40)
+    @given(decay_curve(), st.sampled_from([math.nan, 0.0, math.inf]))
+    def test_a_wrong_guess_moves_no_bit(self, curve, value):
+        # A guess that is always nan, 0 or inf predicts the wrong path at
+        # every step past the first; the search still compares only computed SSEs.
+        x, y = curve
+        with mock.patch.object(fitting, "_parabola", lambda *points: lambda rate: value):
+            assert outcome(fitting._exp_decay, x, y) == outcome(_exp_decay_reference, x, y)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.floats(1e-5, 1.0), min_size=4, max_size=4, unique=True),
+        st.lists(st.floats(), min_size=3, max_size=3),
+    )
+    def test_the_guess_never_raises(self, rates, sses):
+        # Distinct rates keep every divisor nonzero, and an inf or nan SSE
+        # only gives an inf or nan guess.
+        guess = fitting._parabola(rates[0], sses[0], rates[1], sses[1], rates[2], sses[2])
+        assert isinstance(guess(rates[3]), float)
+
+
 # Prefill energy per token drawn from a shipped profile with 3% lognormal
 # noise, as perfbench's fit-batch workload draws it (seeds 3, 17 and 19).
 SEEDED_ENERGY_CURVES = {
@@ -679,14 +761,16 @@ def _piecewise_reference(points, kind):
 
 
 @st.composite
-def piecewise_points(draw):
-    """6-30 points: decay-like or arbitrary y at scales from 1e-300 to 1e300,
-    left sides with negative, tied, huge or only two distinct x, an occasional y <= 0."""
+def piecewise_points(draw, kind):
+    """6-30 points inside the fitters' domain for ``kind``: decay-like or
+    arbitrary y at scales from 1e-300 to 4e99 (|y| <= 2.1 * 4e99 < 1e100),
+    left sides with tied, huge or only two distinct x (negative x too for
+    power), an occasional y <= 0."""
     n_left, n_right = draw(st.integers(2, 14)), draw(st.integers(4, 16))
     left_xs = draw(
         st.one_of(
             st.lists(st.sampled_from([2.0, 7.0]), min_size=n_left, max_size=n_left),
-            st.lists(st.integers(-40, 40).map(float), min_size=n_left, max_size=n_left),
+            st.lists(st.integers(0 if kind == "energy" else -40, 40).map(float), min_size=n_left, max_size=n_left),
             st.lists(st.floats(0.0, 500.0), min_size=n_left, max_size=n_left),
             st.lists(st.floats(0.0, 1e300), min_size=n_left, max_size=n_left),
         )
@@ -698,7 +782,7 @@ def piecewise_points(draw):
             max_size=n_right,
         )
     )
-    scale = draw(st.sampled_from([1.0, 1.0, 1e-300, 1e100, 1e101, 1e300]))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-300, 4e99]))
     decay = draw(st.booleans())
     points = []
     for x in left_xs + right_xs:
@@ -723,8 +807,9 @@ class TestPiecewisePruning:
     """The pruned breakpoint scan against the full one it replaced."""
 
     @settings(deadline=None, max_examples=80)
-    @given(piecewise_points(), st.sampled_from(["energy", "power"]))
-    def test_same_outcome_as_the_full_scan(self, points, kind):
+    @given(st.sampled_from(["energy", "power"]).flatmap(lambda kind: st.tuples(piecewise_points(kind), st.just(kind))))
+    def test_same_outcome_as_the_full_scan(self, case):
+        points, kind = case
         assert piecewise_outcome(fit_piecewise, points, kind) == piecewise_outcome(
             _piecewise_reference, points, kind
         )
@@ -858,6 +943,18 @@ class TestPiecewisePruning:
         want = piecewise_outcome(_piecewise_reference, points, "power")
         assert want[0] == "DegenerateDesign" and "not finite" in want[1]
         assert piecewise_outcome(fit_piecewise, points, "power") == want
+
+    @pytest.mark.parametrize("kind", ["energy", "power"])
+    def test_a_curve_at_the_1e101_scale_is_refused(self, decay_fits, kind):
+        # piecewise_points no longer draws a y scale past 1e100; an energy x
+        # < 0, which it no longer draws either, has its own tests above and
+        # in TestDomain.
+        xs = [3.0, 0.0, 2.0, 7.0, 7.0, 12.0, 500.0, 503.0, 900.0, 2500.0]
+        points = [(x, (math.exp(-min(x, 500.0) / 60.0) + 0.05) * 1e101) for x in xs]
+        want = piecewise_outcome(_piecewise_reference, points, kind)
+        assert want[0] == "DegenerateDesign" and "1e100" in want[1]
+        assert piecewise_outcome(fit_piecewise, points, kind) == want
+        assert decay_fits == []
 
     def test_a_huge_y_is_refused_before_any_fit(self, decay_fits):
         # Every y but the last is positive and <= 1e100; the last, -1e300,
