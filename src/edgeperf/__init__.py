@@ -24,12 +24,12 @@ _EXPORTS = {
     ),
     "planner": (
         "ConfigPoint", "PhaseRatios", "best_under_cost", "best_under_latency",
-        "default_config_table", "load_config_table", "majority_vote", "mape",
-        "pareto_frontier", "phase_ratios",
+        "default_config_table", "load_config_table", "majority_vote", "pareto_frontier",
+        "phase_ratios",
     ),
     "profiles": (
         "MeasurementRecord", "ModelProfile", "Phase", "Precision", "ProfileRegistry",
-        "Technique", "default_registry", "load_measurements", "load_profiles",
+        "Technique", "default_registry", "load_measurements", "load_profiles", "mape",
         "serialize_profiles", "validate_profile",
     ),
 }

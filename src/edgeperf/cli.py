@@ -139,8 +139,6 @@ def _cmd_vote(args):
 
 
 def _cmd_validate(args):
-    from . import planner
-
     registry = _resolve_registry(args)
     profile = registry.get(args.model)
     records = profiles.load_measurements(args.data)
@@ -150,13 +148,13 @@ def _cmd_validate(args):
     decode_rows = [r for r in records if r.phase is profiles.Phase.DECODE]
     if prefill_rows:
         preds = [latency.prefill_latency(profile, r.input_len) for r in prefill_rows]
-        result["prefill_mape"] = planner.mape(preds, [r.latency for r in prefill_rows])
+        result["prefill_mape"] = profiles.mape(preds, [r.latency for r in prefill_rows])
     if decode_rows:
         preds = [
             latency.decode_latency(profile, r.input_len, r.output_len)
             for r in decode_rows
         ]
-        result["decode_mape"] = planner.mape(preds, [r.latency for r in decode_rows])
+        result["decode_mape"] = profiles.mape(preds, [r.latency for r in decode_rows])
     if not result:
         raise ParseError("no prefill or decode rows in data file")
 

@@ -1,4 +1,9 @@
-"""Piecewise power models, energy integrals, and cost-per-token arithmetic."""
+"""Piecewise power models, energy integrals, and cost-per-token arithmetic.
+
+The piecewise evaluators, ``piecewise_power_value`` and
+``piecewise_energy_value``, are defined in ``profiles``, whose validation
+evaluates them, and imported here.
+"""
 
 from __future__ import annotations
 
@@ -13,13 +18,8 @@ from .errors import (
     UnitUndeclared,
 )
 from .latency import _decode_domain, decode_latency
-from .profiles import (
-    _MAX_TOKENS,
-    EnergyUnit,
-    ModelProfile,
-    PiecewiseEnergyModel,
-    PiecewisePowerModel,
-)
+from .profiles import _MAX_TOKENS, EnergyUnit, ModelProfile
+from .profiles import piecewise_energy_value, piecewise_power_value
 
 # Jetson Orin power envelope; decode_power warns above this.
 DEFAULT_PLATFORM_CAP_WATTS = 60.0
@@ -64,31 +64,6 @@ class CostBreakdown:
     @property
     def total(self) -> float:
         return self.energy_cost + self.hardware_cost
-
-
-def _log(x: float, log10: bool) -> float:
-    return math.log10(x) if log10 else math.log(x)
-
-
-def piecewise_power_value(
-    model: PiecewisePowerModel, x: float, inclusive: bool = True
-) -> float:
-    """Evaluate a constant/log power model at x tokens.
-
-    ``inclusive`` controls whether x equal to the threshold falls on the
-    constant branch (prefill convention) or the log branch (decode convention).
-    """
-    on_floor = x <= model.threshold if inclusive else x < model.threshold
-    if on_floor:
-        return model.floor_watts
-    return model.log_alpha * _log(x, model.log10) + model.log_beta
-
-
-def piecewise_energy_value(model: PiecewiseEnergyModel, x: float) -> float:
-    """Evaluate an exp-decay/log energy-per-token model at x tokens."""
-    if x <= model.threshold:
-        return model.exp_A * math.exp(-model.exp_lambda * x) + model.exp_C
-    return model.log_alpha * _log(x, model.log10) + model.log_beta
 
 
 def prefill_power(profile: ModelProfile, input_len: int) -> float:

@@ -51,7 +51,8 @@ curves in the tests, under both kinds, it runs 126 of the full scan's 1169
 decay fits and 813 of its 3468 floor and log fits.
 
 Every coefficient and SSE is returned as a finite plain ``float``; a fit that
-would be non-finite raises ``DegenerateDesign`` instead.
+would be non-finite raises ``DegenerateDesign`` instead. ``fitting.mape`` is
+``profiles.mape``, imported for scoring a latency fit against its rows.
 """
 
 import functools
@@ -64,7 +65,6 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateDesign, InsufficientData, NoDecayDetectedWarning
-from .latency import padded_length
 from .profiles import (
     DecodeLatencyCoeffs,
     MeasurementRecord,
@@ -72,6 +72,8 @@ from .profiles import (
     PiecewiseEnergyModel,
     PiecewisePowerModel,
     PrefillLatencyCoeffs,
+    mape,
+    padded_length,
     to_json,
 )
 
@@ -83,16 +85,6 @@ Coefficients = Union[
     "LogCurve",
     "ExpDecay",
 ]
-
-
-def __getattr__(name):
-    # fitting.mape is planner.mape, imported on first use (PEP 562): no fitter
-    # needs planner, so `fit` does not load it.
-    if name == "mape":
-        from .planner import mape
-
-        return mape
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Design-matrix condition estimate above which the normal equations are
@@ -151,8 +143,8 @@ def _finite(*values) -> list[float]:
 
 def _solve_least_squares(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Column-scaled normal equations with an SVD fallback for bad conditioning."""
+    # No column norm is 0: every entry of both latency designs is >= 1.
     scale = np.linalg.norm(design, axis=0)
-    scale[scale == 0] = 1.0
     scaled = design / scale
     if np.linalg.cond(scaled) > _COND_LIMIT:
         coef, *_ = np.linalg.lstsq(scaled, y, rcond=None)
@@ -547,7 +539,10 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     least total SSE wins; among totals within 1e-15 of it, the smallest
     breakpoint. When the left branch alone fits every point no worse than
     that winner, within 1e-15, it is returned with an infinite threshold and
-    no log branch.
+    no log branch. The threshold is the last x of the left branch; for a
+    decode-phase power curve, use the first log-branch position as
+    ``decode_power.threshold``, since ``decode_power`` puts the position
+    equal to its threshold on the log branch.
 
     The scan is branch and bound (Land and Doig 1960), best first. Every
     branch fit is monotone in x and equal on equal x: a decay fit is

@@ -2,7 +2,9 @@
 
 Prefill latency is quadratic in the padded input length; decode latency is the
 telescoped sum of a linear time-between-tokens model. All values are seconds
-as 64-bit floats; no unit conversion happens in this layer.
+as 64-bit floats; no unit conversion happens in this layer. ``padded_length``
+and ``prefill_latency`` are defined in ``profiles``, whose validation
+evaluates them, and imported here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleBudget, MissingCoefficient, NonpositiveTBT
-from .profiles import _MAX_TOKENS, PAD_MULTIPLE, DecodeLatencyCoeffs, ModelProfile
+from .profiles import _MAX_TOKENS, DecodeLatencyCoeffs, ModelProfile
+from .profiles import padded_length, prefill_latency
 
 
 @dataclass(frozen=True)
@@ -36,26 +39,10 @@ class LatencyBreakdown:
         return self.prefill + self.decode
 
 
-def padded_length(input_len: int) -> int:
-    """Round the input length up to the hardware tile multiple (128)."""
-    if not 1 <= input_len <= _MAX_TOKENS:
-        raise DomainError("input_len must be in [1, 2**53]", got=input_len)
-    return ((input_len + PAD_MULTIPLE - 1) // PAD_MULTIPLE) * PAD_MULTIPLE
-
-
 def _decode_coeffs(profile: ModelProfile) -> DecodeLatencyCoeffs:
     if profile.decode_latency is None:
         raise MissingCoefficient(profile.id, "decode_latency")
     return profile.decode_latency
-
-
-def prefill_latency(profile: ModelProfile, input_len: int) -> float:
-    """Seconds to process the prompt: a*I_pad^2 + b*I_pad + c."""
-    coeffs = profile.prefill_latency
-    if coeffs is None:
-        raise MissingCoefficient(profile.id, "prefill_latency")
-    ipad = padded_length(input_len)
-    return coeffs.a * ipad * ipad + coeffs.b * ipad + coeffs.c
 
 
 def tbt(profile: ModelProfile, context_len: int) -> float:

@@ -1,31 +1,21 @@
 """Deployment planning over ingested configuration tables.
 
 Loads accuracy/latency/cost rows, computes Pareto frontiers, answers
-constrained-selection queries, aggregates parallel samples by majority vote,
-summarizes prefill/decode phase ratios and scores predictions by MAPE.
+constrained-selection queries, aggregates parallel samples by majority vote
+and summarizes prefill/decode phase ratios. ``planner.mape`` is
+``profiles.mape``, the score that ``edgeperf validate`` reports.
 """
 
-import math
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from pathlib import Path
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .errors import (
-    DomainError,
-    EmptyInput,
-    InvariantViolation,
-    LengthMismatch,
-    ZeroActual,
-    ZeroDecodeWarning,
-    ZeroPrefill,
-)
+from .errors import DomainError, EmptyInput, InvariantViolation, ZeroDecodeWarning, ZeroPrefill
 from .latency import LatencyBudget
-from .profiles import MeasurementRecord, Phase, Source, Technique, read_rows
+from .profiles import MeasurementRecord, Phase, Source, Technique, mape, read_rows
 
 
 # Objective names accepted by pareto_frontier. Accuracy is maximized; the
@@ -194,11 +184,8 @@ def majority_vote(answers: Sequence[Hashable]) -> Hashable:
     """Most frequent answer; ties break toward the earliest first occurrence."""
     if not answers:
         raise EmptyInput("majority_vote needs at least one answer")
-    counts = Counter(answers)
-    first_seen = {}
-    for idx, answer in enumerate(answers):
-        first_seen.setdefault(answer, idx)
-    return min(counts, key=lambda a: (-counts[a], first_seen[a]))
+    # most_common(1) is a max over first-occurrence order, which keeps the earliest tie.
+    return Counter(answers).most_common(1)[0][0]
 
 
 def phase_ratios(records: Iterable[MeasurementRecord]) -> PhaseRatios:
@@ -228,44 +215,6 @@ def phase_ratios(records: Iterable[MeasurementRecord]) -> PhaseRatios:
         token_ratio=decode_tokens / prefill_tokens,
         latency_ratio=decode_latency / prefill_latency,
     )
-
-
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """The float64 sum that ``np.mean`` divides by n, bit for bit, without numpy.
-
-    numpy's pairwise summation: a running sum below 8 values, eight
-    interleaved running sums up to 128, and above that the sums of two
-    halves split at n/2 rounded down to a multiple of 8. numpy adds the
-    result to a 0.0 start, which drops the sign of a zero; starting every
-    running sum at 0.0 does the same.
-    """
-    n = len(values)
-    if n < 8:
-        return reduce(add, values, 0.0)
-    if n <= 128:
-        tail = n - n % 8
-        r = [reduce(add, values[j:tail:8], 0.0) for j in range(8)]
-        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, values[tail:], head)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
-def mape(predictions: Sequence[float], actuals: Sequence[float]) -> float:
-    """Mean absolute percentage error, as a percent."""
-    if len(predictions) != len(actuals):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions vs {len(actuals)} actuals"
-        )
-    if len(actuals) == 0:
-        raise LengthMismatch("empty inputs")
-    if any(a == 0 for a in actuals):
-        raise ZeroActual("an actual value is zero; percentage error undefined")
-    errors = [abs(p - a) / abs(a) for p, a in zip(predictions, actuals)]
-    result = 100.0 * float(_pairwise_sum(errors) / len(errors))
-    if not math.isfinite(result):
-        raise DomainError(f"MAPE is {result}: a percentage error is not finite")
-    return result
 
 
 def builtin_config_table_path() -> Path:

@@ -6,22 +6,31 @@ profiles are legal: operations that need an absent set raise
 
 Every record type is read and written by one schema driven by its dataclass
 fields and type hints: profile JSON, the measurement CSV, the planner's
-config-table CSV and the fitters' JSON output.
+config-table CSV and the fitters' JSON output. A profile JSON object with a
+key that its schema does not name is refused.
+
+This is the lowest module: it imports no edgeperf module but ``errors``. So
+it also holds everything that ``validate_profile`` and ``edgeperf validate``
+compute with: ``padded_length`` and ``prefill_latency``, the piecewise power
+and energy evaluators, and ``mape``. ``latency``, ``energy``, ``planner`` and
+``fitting`` import those names from here, as the same objects.
 """
 
 import csv
-import functools
 import json
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import cache, reduce
+from operator import add
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Callable, Iterator, NamedTuple, Optional, Union
+from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 from typing import get_args, get_origin
 
-from .errors import DuplicateId, InvariantViolation, ParseError, UnknownModel
+from .errors import DomainError, DuplicateId, InvariantViolation, LengthMismatch
+from .errors import MissingCoefficient, ParseError, UnknownModel, ZeroActual
 
 Source = Union[str, Path, IO[str]]
 
@@ -279,7 +288,7 @@ class _Field(NamedTuple):
     unbounded: bool  # may be +inf, spelled null or "inf" in JSON
 
 
-@functools.cache
+@cache
 def _schema(cls) -> tuple[_Field, ...]:
     """The fields of a record dataclass, in declaration order.
 
@@ -314,11 +323,20 @@ def _source_text(source: Source) -> str:
 
 
 def _from_json(cls, obj, where: str):
-    """A ``cls`` record from a JSON object; ``where`` names it in errors."""
+    """A ``cls`` record from a JSON object; ``where`` names it in errors.
+
+    A key that the schema does not name is refused, the first in document
+    order, so a misspelt key cannot load as an absent set or a default.
+    """
     if not isinstance(obj, dict):
         raise ParseError(f"{where} must be an object")
+    schema = _schema(cls)
+    keys = {f.key for f in schema}
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"{where}: unknown key {key!r}")
     values = {}
-    for f in _schema(cls):
+    for f in schema:
         value = obj.get(f.key)
         if value is None or (f.unbounded and value == "inf"):
             if f.default is _REQUIRED:
@@ -383,7 +401,7 @@ def _finite_cell(cell: str) -> float:
     return value
 
 
-@functools.cache
+@cache
 def _cell_parser(kind) -> Callable[[str], object]:
     """How a CSV cell becomes a ``kind``: a finite float, an int, a str or an Enum member."""
     if kind is float:
@@ -478,6 +496,89 @@ def serialize_profiles(registry: ProfileRegistry) -> str:
     return json.dumps(doc, indent=2)
 
 
+# ---------------------------------------------------------------------------
+# Validation: the evaluators it runs and the MAPE score it reports
+# ---------------------------------------------------------------------------
+
+def padded_length(input_len: int) -> int:
+    """Round the input length up to the hardware tile multiple (128)."""
+    if not 1 <= input_len <= _MAX_TOKENS:
+        raise DomainError("input_len must be in [1, 2**53]", got=input_len)
+    return ((input_len + PAD_MULTIPLE - 1) // PAD_MULTIPLE) * PAD_MULTIPLE
+
+
+def prefill_latency(profile: ModelProfile, input_len: int) -> float:
+    """Seconds to process the prompt: a*I_pad^2 + b*I_pad + c."""
+    coeffs = profile.prefill_latency
+    if coeffs is None:
+        raise MissingCoefficient(profile.id, "prefill_latency")
+    ipad = padded_length(input_len)
+    return coeffs.a * ipad * ipad + coeffs.b * ipad + coeffs.c
+
+
+def _log(x: float, log10: bool) -> float:
+    return math.log10(x) if log10 else math.log(x)
+
+
+def piecewise_power_value(
+    model: PiecewisePowerModel, x: float, inclusive: bool = True
+) -> float:
+    """Evaluate a constant/log power model at x tokens.
+
+    ``inclusive`` controls whether x equal to the threshold falls on the
+    constant branch (prefill convention) or the log branch (decode convention).
+    """
+    on_floor = x <= model.threshold if inclusive else x < model.threshold
+    if on_floor:
+        return model.floor_watts
+    return model.log_alpha * _log(x, model.log10) + model.log_beta
+
+
+def piecewise_energy_value(model: PiecewiseEnergyModel, x: float) -> float:
+    """Evaluate an exp-decay/log energy-per-token model at x tokens."""
+    if x <= model.threshold:
+        return model.exp_A * math.exp(-model.exp_lambda * x) + model.exp_C
+    return model.log_alpha * _log(x, model.log10) + model.log_beta
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """The float64 sum that ``np.mean`` divides by n, bit for bit, without numpy.
+
+    numpy's pairwise summation: a running sum below 8 values, eight
+    interleaved running sums up to 128, and above that the sums of two
+    halves split at n/2 rounded down to a multiple of 8. numpy adds the
+    result to a 0.0 start, which drops the sign of a zero; starting every
+    running sum at 0.0 does the same.
+    """
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        tail = n - n % 8
+        r = [reduce(add, values[j:tail:8], 0.0) for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[tail:], head)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def mape(predictions: Sequence[float], actuals: Sequence[float]) -> float:
+    """Mean absolute percentage error, as a percent."""
+    if len(predictions) != len(actuals):
+        raise LengthMismatch(
+            f"{len(predictions)} predictions vs {len(actuals)} actuals"
+        )
+    if len(actuals) == 0:
+        raise LengthMismatch("empty inputs")
+    if any(a == 0 for a in actuals):
+        raise ZeroActual("an actual value is zero; percentage error undefined")
+    errors = [abs(p - a) / abs(a) for p, a in zip(predictions, actuals)]
+    result = 100.0 * float(_pairwise_sum(errors) / len(errors))
+    if not math.isfinite(result):
+        raise DomainError(f"MAPE is {result}: a percentage error is not finite")
+    return result
+
+
 def validate_profile(profile: ModelProfile) -> list[InvariantViolation]:
     """Full validation: type invariants plus positivity over I, O in [1, 4096].
 
@@ -487,10 +588,6 @@ def validate_profile(profile: ModelProfile) -> list[InvariantViolation]:
     Violations are returned, never raised; an empty list means the profile
     is sound over the checked domain.
     """
-    # Imported here because energy and latency import this module.
-    from .energy import piecewise_energy_value, piecewise_power_value
-    from .latency import prefill_latency
-
     out = profile.issues()
     if out:
         return out
@@ -526,16 +623,11 @@ def load_measurements(source: Source) -> list[MeasurementRecord]:
 # Built-in defaults
 # ---------------------------------------------------------------------------
 
-_default_registry: Optional[ProfileRegistry] = None
-
-
 def builtin_profiles_path() -> Path:
     return Path(__file__).parent / "data" / "profiles.json"
 
 
+@cache
 def default_registry() -> ProfileRegistry:
     """Registry built from the packaged coefficient file (cached)."""
-    global _default_registry
-    if _default_registry is None:
-        _default_registry = load_profiles(builtin_profiles_path())
-    return _default_registry
+    return load_profiles(builtin_profiles_path())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from edgeperf import fitting, planner
+from edgeperf import fitting, profiles
 from edgeperf.errors import (
     DegenerateDesign,
     DomainError,
@@ -1290,7 +1290,7 @@ class TestMape:
         ]
         with np.errstate(all="ignore"):
             expected = float(np.mean(values))
-        assert (planner._pairwise_sum(values) / n).hex() == expected.hex()
+        assert (profiles._pairwise_sum(values) / n).hex() == expected.hex()
 
 
 class TestCoefficientsToJson:

@@ -41,7 +41,7 @@ NUMPY_FREE_CALLS = {
     "plan-pareto": (["plan", "--pareto", "accuracy,latency,cost"], 0, ["planner"]),
     "plan-max-cost": (["plan", "--max-cost", "0.01"], 0, ["planner"]),
     "plan-max-latency": (["plan", "--max-latency", "60"], 0, ["planner"]),
-    "validate": (["validate", "--model", "dsr1-qwen-14b", "--data", DATA_14B], 0, ["planner"]),
+    "validate": (["validate", "--model", "dsr1-qwen-14b", "--data", DATA_14B], 0, []),
 }
 FIT_CALL = (["fit", "--kind", "prefill-latency", "--data", DATA_14B], 0, ["fitting"])
 
@@ -77,11 +77,11 @@ print(json.dumps(steps))
 """
 
 
-def _fresh_process_report(*argv):
+def _fresh_process_report(*argv, child=CHILD):
     env = {k: v for k, v in os.environ.items() if k != "EDGEPERF_PROFILES"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv],
+        [sys.executable, "-c", child, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -108,6 +108,34 @@ def test_numpy_only_where_it_computes(call):
         ["import edgeperf", None, False, []],
         [" ".join(argv), code, call == "fit", sorted(CLI_CORE + modules)],
     ]
+
+
+# profiles is the lowest module: it holds what validation computes with, mape
+# included, and imports no edgeperf module but errors.
+PROFILES_CHILD = """
+import json, sys
+
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("edgeperf."))
+
+import edgeperf.profiles
+steps = [loaded()]
+edgeperf.mape
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_profiles_and_mape_load_only_errors_and_profiles():
+    assert _fresh_process_report(child=PROFILES_CHILD) == [["errors", "profiles"]] * 2
+
+
+def test_moved_functions_keep_their_old_paths():
+    assert fitting.mape is planner.mape is profiles.mape is edgeperf.mape
+    assert latency.prefill_latency is profiles.prefill_latency
+    assert latency.padded_length is profiles.padded_length
+    assert energy.piecewise_power_value is profiles.piecewise_power_value
+    assert energy.piecewise_energy_value is profiles.piecewise_energy_value
 
 
 def test_decode_energy_log_branch_value(p14):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeperf import profiles
+from edgeperf import cli, profiles
 from edgeperf.errors import (
     DuplicateId,
     EdgeperfError,
@@ -191,6 +191,29 @@ class TestLoadProfiles:
         entry["precision"] = "int3"
         with pytest.raises(ParseError):
             load_profiles(io.StringIO(json.dumps({"profiles": [entry]})))
+
+    @pytest.mark.parametrize(
+        "section, typo, message",
+        [
+            (None, "prefil_latency", "profiles[0]: unknown key 'prefil_latency'"),
+            ("decode_power", "log_10", "profiles[0].decode_power: unknown key 'log_10'"),
+        ],
+    )
+    def test_unknown_key_refused(self, section, typo, message, tmp_path, capsys):
+        # A misspelt key would otherwise load as an absent set or a default value.
+        entry = full_profile_json()
+        entry["decode_power"] = {"floor_watts": 5.9, "threshold": 64, "log_alpha": 0.76, "log_beta": 3.2}
+        target = entry[section] if section else entry
+        target[typo] = {"a": 1.0} if section is None else True
+        target["zz_later"] = 1  # the first unknown key in document order is named
+        text = json.dumps({"profiles": [entry]})
+        with pytest.raises(ParseError) as info:
+            load_profiles(io.StringIO(text))
+        assert str(info.value) == message
+        path = tmp_path / "typo.json"
+        path.write_text(text)
+        code = cli.run(["predict", "--profiles", str(path), "--model", "toy", "--input", "512", "--output", "8"])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
 
 class TestRegistry:
