@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import replace
 from typing import Optional
 
 from . import latency, profiles
@@ -206,7 +207,14 @@ def _cmd_fit(args):
         else:
             result = fitting.fit_piecewise(points, kind="energy")
 
-    fragment = fitting.coefficients_to_json(result.coefficients)
+    coefficients = result.coefficients
+    if args.kind == "piecewise-power" and args.phase == "decode" and coefficients.threshold < math.inf:
+        # The fit's threshold is the last x of its floor branch, but decode_power
+        # puts the position equal to its threshold on the log branch. The first
+        # log-branch position splits the points the same way under decode_power.
+        first = min(x for x, _ in points if x > coefficients.threshold)
+        coefficients = replace(coefficients, threshold=first)
+    fragment = fitting.coefficients_to_json(coefficients)
     tail = {"residual_sse": result.residual_sse, "points_used": result.points_used}
     if args.json:
         _emit({"fit": fragment, **tail}, args)

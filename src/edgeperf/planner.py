@@ -64,7 +64,7 @@ def load_config_table(source: Source) -> list[ConfigPoint]:
 
     Empty cells mean absent fields.
     """
-    return [point for _, point in read_rows(source, ConfigPoint, "config table")]
+    return read_rows(source, ConfigPoint, "config table")
 
 
 def _objective_values(point: ConfigPoint, objectives: Sequence[str]) -> Optional[tuple]:

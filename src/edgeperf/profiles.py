@@ -20,9 +20,11 @@ import csv
 import json
 import math
 import os
+from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache, reduce
+from itertools import count, islice, repeat
 from operator import add
 from pathlib import Path
 from types import MappingProxyType
@@ -419,25 +421,96 @@ def _cell_parser(kind) -> Callable[[str], object]:
     return parse
 
 
-def read_rows(source: Source, cls, what: str) -> Iterator[tuple[int, object]]:
-    """(line number, record) for each non-blank row of a CSV table of ``cls``.
+@cache
+def _column_parser(kind) -> Callable[[list[str]], Optional[list]]:
+    """How a column of non-empty cells becomes ``kind`` values, with one C-level map.
 
-    The header names the fields' columns in field order. Each cell is
-    stripped and parsed by its field's type; an empty cell means the field's
-    default. ``what`` names the table in errors. An InvariantViolation that a
-    record raises when it is built is raised again with the row's line.
+    None means a cell that ``_cell_parser(kind)`` refuses: one that ``float``
+    or ``int`` rejects, a non-finite float, or an unknown Enum value.
     """
-    schema = _schema(cls)
-    header = [f.key for f in schema]
-    reader = csv.reader(_source_text(source).splitlines())
-    first = next(reader, None)
-    if first is None:
-        raise ParseError(f"empty {what} (header required)")
-    if [h.strip() for h in first] != header:
-        raise ParseError(f"bad header {first!r}, expected {','.join(header)}", line=1)
-    # A field without a default parses even an empty cell.
-    columns = [(f.name, _cell_parser(f.kind), f.default is _REQUIRED) for f in schema]
-    for lineno, row in enumerate(reader, start=2):
+    if kind is str:
+        return lambda cells: cells
+    parse = kind if kind in (float, int) else {member.value: member for member in kind}.__getitem__
+
+    def column(cells):
+        try:
+            values = list(map(parse, cells))
+        except (ValueError, KeyError):
+            return None
+        return values if kind is not float or all(map(math.isfinite, values)) else None
+
+    return column
+
+
+# Rows per bulk pass; one chunk's cells are all the memory that a pass adds.
+_CHUNK = 256
+
+
+def _chunk(reader, lineno: int) -> tuple[list[list[str]], Optional[ParseError]]:
+    """The next ``_CHUNK`` rows, the first on line ``lineno``, and csv's refusal of the next.
+
+    csv refuses a cell past its field limit (and, before Python 3.11, a NUL
+    byte); the rows before it are returned, so they are checked first.
+    """
+    rows = []
+    try:
+        for row in islice(reader, _CHUNK):
+            rows.append(row)
+    except csv.Error as exc:
+        return rows, ParseError(str(exc), line=lineno + len(rows))
+    return rows, None
+
+
+def _bulk_records(cls, columns, rows: list[list[str]]) -> Optional[list]:
+    """The records of a chunk of rows, built a column at a time.
+
+    ``columns`` holds each field's name, column parser and dataclass default.
+    None when some row needs the row loop to name its fault or to skip it: a
+    row of the wrong width, a blank row (it has an empty required cell), an
+    empty cell of a field without a default, a cell its type refuses, or a
+    record that refuses itself.
+    """
+    if set(map(len, rows)) != {len(columns)}:
+        return None
+    parsed = []
+    for (_, parse, default), cells in zip(columns, zip(*rows)):
+        cells = list(map(str.strip, cells))
+        if "" not in cells:
+            values = parse(cells)
+        elif default is MISSING:
+            return None
+        else:  # an empty cell takes the default, as an omitted keyword does
+            values = parse([cell for cell in cells if cell])
+            if values is not None:
+                present = iter(values)
+                values = [next(present) if cell else default for cell in cells]
+        if values is None:
+            return None
+        parsed.append(values)
+    # The frozen __init__'s own stores, in its order, then its check.
+    names = [name for name, _, _ in columns]
+    check = cls.__post_init__
+    records = []
+    try:
+        for values in zip(*parsed):
+            record = object.__new__(cls)
+            deque(map(object.__setattr__, repeat(record), names, values), 0)
+            check(record)
+            records.append(record)
+    except (ValueError, InvariantViolation):
+        return None
+    return records
+
+
+def _row_records(cls, columns, rows: list[list[str]], start: int) -> list:
+    """The records of the non-blank rows, one row at a time; ``start`` is the first's line.
+
+    ``columns`` holds each field's name, cell parser and whether it parses
+    an empty cell. The first bad row raises a ParseError, or the record's
+    InvariantViolation, with its line.
+    """
+    records = []
+    for lineno, row in enumerate(rows, start=start):
         cells = list(map(str.strip, row))
         if not any(cells):
             continue
@@ -453,7 +526,48 @@ def read_rows(source: Source, cls, what: str) -> Iterator[tuple[int, object]]:
             raise ParseError(str(exc), line=lineno) from None
         except InvariantViolation as exc:  # each record checks itself when built
             raise InvariantViolation(exc.field, exc.rule, line=lineno) from None
-        yield lineno, record
+        records.append(record)
+    return records
+
+
+def read_rows(source: Source, cls, what: str) -> list:
+    """The records of the non-blank rows of a CSV table of ``cls``.
+
+    The header names the fields' columns in field order. Each cell is
+    stripped and parsed by its field's type; an empty cell means the field's
+    default. ``what`` names the table in errors, and each error names its
+    line. An InvariantViolation that a record raises when it is built is
+    raised again with the row's line. ``cls`` checks itself in
+    ``__post_init__``.
+
+    The rows go in chunks of ``_CHUNK``, each parsed a column at a time, and
+    each record gets its fields as the frozen ``__init__`` stores them. A
+    chunk that this bulk pass refuses goes row by row instead, and that row
+    loop alone names the first bad row.
+    """
+    schema = _schema(cls)
+    header = [f.key for f in schema]
+    reader = csv.reader(_source_text(source).splitlines())
+    try:
+        first = next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=1) from None
+    if first is None:
+        raise ParseError(f"empty {what} (header required)")
+    if [h.strip() for h in first] != header:
+        raise ParseError(f"bad header {first!r}, expected {','.join(header)}", line=1)
+    bulk = [(f.name, _column_parser(f.kind), d.default) for f, d in zip(schema, fields(cls))]
+    # A field without a default parses even an empty cell.
+    rowwise = [(f.name, _cell_parser(f.kind), f.default is _REQUIRED) for f in schema]
+    records = []
+    for lineno in count(2, _CHUNK):
+        rows, refused = _chunk(reader, lineno)
+        chunk = _bulk_records(cls, bulk, rows)
+        records += _row_records(cls, rowwise, rows, lineno) if chunk is None else chunk
+        if refused is not None:
+            raise refused
+        if len(rows) < _CHUNK:
+            return records
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +730,7 @@ def validate_profile(profile: ModelProfile) -> list[InvariantViolation]:
 
 def load_measurements(source: Source) -> list[MeasurementRecord]:
     """Parse the measurement CSV, a path or an open text stream, into validated records."""
-    return [record for _, record in read_rows(source, MeasurementRecord, "measurement file")]
+    return read_rows(source, MeasurementRecord, "measurement file")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +11,9 @@ import pytest
 
 import edgeperf
 from edgeperf import cli
+from edgeperf.energy import decode_power
 from edgeperf.latency import decode_latency, prefill_latency
-from edgeperf.profiles import builtin_profiles_path, serialize_profiles
+from edgeperf.profiles import builtin_profiles_path, load_profiles, serialize_profiles
 
 SRC = str(Path(edgeperf.__file__).resolve().parents[1])
 
@@ -668,6 +671,38 @@ class TestFit:
         code, out, err = run(capsys, "fit", "--kind", "piecewise-power", "--phase", "decode", "--data", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "1e100" in err
+
+    def test_decode_power_threshold_is_the_first_log_branch_position(self, capsys, tmp_path):
+        # The shipped 1.5B decode-power shape: a 5.9 W floor, then the log branch from 64.
+        def watts(p):
+            return 5.9 if p < 64 else 0.756538 * math.log(p) + 3.213711
+
+        lines = ["phase,input_len,output_len,latency_s,power_w,energy_j"]
+        lines += [f"decode,512,{p},1.0,{watts(p)!r}," for p in range(1, 300)]
+        path = tmp_path / "power.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["fit", "--kind", "piecewise-power", "--phase", "decode", "--data", str(path)]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["fit"]["power"]["threshold"] == 64
+        assert doc["points_used"] == 299
+        # The printed coefficients, used as decode_power, give the printed SSE.
+        registry = load_profiles(io.StringIO(json.dumps(
+            {"profiles": [{"id": "fit", "param_b": 1.0, "decode_power": doc["fit"]["power"]}]}
+        )))
+        profile = registry.get("fit")
+        sse = math.fsum((decode_power(profile, p) - watts(p)) ** 2 for p in range(1, 300))
+        assert sse == pytest.approx(doc["residual_sse"], abs=1e-20)
+        # The prefill phase keeps the last x of the floor branch.
+        lines = ["phase,input_len,output_len,latency_s,power_w,energy_j"]
+        lines += [f"prefill,{p},0,1.0,{watts(p)!r}," for p in range(1, 300)]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "fit", "--kind", "piecewise-power", "--phase", "prefill",
+                           "--data", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["fit"]["power"]["threshold"] == 63
+        assert json.loads(out)["residual_sse"] == doc["residual_sse"]
 
     def test_warning_is_one_line_in_a_fresh_process(self):
         proc = run_fresh(

@@ -1,7 +1,11 @@
+import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from edgeperf.errors import (
     ParseError,
     UnknownModel,
 )
-from edgeperf.planner import load_config_table
+from edgeperf.planner import ConfigPoint, load_config_table
 from edgeperf.profiles import (
     DecodeLatencyCoeffs,
     EnergyUnit,
@@ -496,3 +500,240 @@ def test_unreadable_source(loader, flags, tmp_path, cli_refuses):
         with pytest.raises(ParseError, match="cannot read"):
             loader(source)
         cli_refuses(*flags, str(source))
+
+
+# ---------------------------------------------------------------------------
+# read_rows: the chunked column-at-a-time parser against the row loop
+# ---------------------------------------------------------------------------
+
+def reference_rows(source, cls, what):
+    """read_rows as one loop over the rows: the reference that the bulk pass must match."""
+    schema = profiles._schema(cls)
+    header = [f.key for f in schema]
+    reader = csv.reader(source.read().splitlines())
+    first = next(reader, None)
+    if first is None:
+        raise ParseError(f"empty {what} (header required)")
+    if [h.strip() for h in first] != header:
+        raise ParseError(f"bad header {first!r}, expected {','.join(header)}", line=1)
+    columns = [(f.name, profiles._cell_parser(f.kind), f.default is profiles._REQUIRED) for f in schema]
+    records = []
+    for lineno, row in enumerate(reader, start=2):
+        cells = list(map(str.strip, row))
+        if not any(cells):
+            continue
+        if len(cells) != len(columns):
+            raise ParseError(f"expected {len(columns)} cells, got {len(cells)}", line=lineno)
+        values = {}
+        try:
+            for (name, parse, required), cell in zip(columns, cells):
+                if cell or required:
+                    values[name] = parse(cell)
+            record = cls(**values)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        except InvariantViolation as exc:
+            raise InvariantViolation(exc.field, exc.rule, line=lineno) from None
+        records.append(record)
+    return records
+
+
+CONFIG_TABLE_HEADER = "model_id,technique,token_budget,accuracy_pct,avg_tokens,latency_s,cost_per_mtok,scaling_factor\n"
+
+# Per record class: its loader, class, table name, header, good cells per
+# column, and the edits that make a row bad, as (column, cell) pairs.
+TABLES = {
+    "config": (
+        load_config_table,
+        ConfigPoint,
+        "config table",
+        CONFIG_TABLE_HEADER,
+        [
+            ["m", "dsr1-qwen-1.5b", "a b"],
+            ["base", "hard_limit", "direct", "budget_aware"],
+            ["", "128", "2048"],
+            ["50", "38.3", "0", "100", "1e1"],
+            ["100", "0", "2.5e3"],
+            ["", "1.5", "0.001"],
+            ["", "0.1", "0"],
+            ["", "1", "4"],
+        ],
+        {
+            "empty-required": [(0, ""), (1, ""), (3, ""), (4, "")],  # an empty model_id is legal
+            "bad-number": [(2, "1.5"), (3, "fast"), (5, "1,5"), (7, "x")],
+            "non-finite": [(3, "nan"), (4, "inf"), (5, "-inf"), (6, "1e400")],
+            "unknown-enum": [(1, "warp"), (1, "Base")],
+            "violation": [(3, "120"), (4, "-1"), (5, "0"), (6, "-0.5"), (7, "0")],
+        },
+    ),
+    "measurement": (
+        load_measurements,
+        MeasurementRecord,
+        "measurement file",
+        MEASUREMENT_HEADER,
+        [
+            ["prefill", "decode"],
+            ["1", "128", "9007199254740992"],
+            ["", "0", "64"],
+            ["0.2", "1e-3", "12.9"],
+            ["", "5.9", "7"],
+            ["", "0.01"],
+        ],
+        {
+            "empty-required": [(0, ""), (1, ""), (3, "")],
+            "bad-number": [(1, "12.0"), (2, "abc"), (3, "0x1"), (4, "w")],
+            "non-finite": [(3, "inf"), (4, "nan"), (5, "-inf"), (3, "1e999")],
+            "unknown-enum": [(0, "train"), (0, "PREFILL")],
+            "violation": [(1, "0"), (1, "9007199254740993"), (2, "-1"), (3, "0"), (4, "-1"), (5, "0")],
+        },
+    ),
+}
+FAULTS = ["empty-required", "bad-number", "non-finite", "unknown-enum", "violation"]
+LAYOUTS = ["blank", "spaces", "empty-cells", "short", "long", "padded", "empty-optional"]
+
+
+@st.composite
+def csv_tables(draw):
+    """(name, text) of a table of 0-600 rows with a few edits at drawn rows."""
+    name = draw(st.sampled_from(sorted(TABLES)))
+    _, _, _, header, good, faults = TABLES[name]
+    n = draw(st.sampled_from([0, 1, 255, 256, 257, 511, 512, 513, 600]) | st.integers(0, 600))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [[rng.choice(cells) for cells in good] for _ in range(n)]
+    kinds = FAULTS + LAYOUTS + ["violation", "violation-then-bad"]  # violations twice as often
+    edits = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
+    lines = [",".join(row) for row in rows]
+    for edit in edits:
+        if not rows:
+            break
+        boundaries = [i for i in (0, 255, 256, 257, 512, len(rows) - 1) if i < len(rows)]
+        at = draw(st.sampled_from(boundaries) | st.integers(0, len(rows) - 1))
+        row = list(rows[at])
+        if edit == "violation-then-bad":
+            # A record that refuses itself, then a bad cell later in its chunk.
+            later = min(len(rows) - 1, at + rng.randint(1, 40))
+            bad = list(rows[later])
+            column, cell = rng.choice(faults["bad-number"])
+            bad[column] = cell
+            lines[later] = ",".join(bad)
+            edit = "violation"
+        if edit in faults:
+            column, cell = rng.choice(faults[edit])
+            row[column] = cell
+            lines[at] = ",".join(row)
+        elif edit == "blank":
+            lines[at] = ""
+        elif edit == "spaces":
+            lines[at] = " \t "
+        elif edit == "empty-cells":
+            lines[at] = " ," * (len(good) - 1) + " "
+        elif edit == "short":
+            lines[at] = ",".join(row[:-1])
+        elif edit == "long":
+            lines[at] = ",".join(row + ["1"])
+        elif edit == "padded":
+            lines[at] = ",".join(f" {cell}\t" for cell in row)
+        else:  # empty-optional: every cell of a field with a default
+            lines[at] = ",".join("" if good_cells[0] == "" else cell for cell, good_cells in zip(row, good))
+    return name, header + "".join(line + "\n" for line in lines)
+
+
+def outcome(load, text):
+    """The records' reprs, or the refusal's type, message and line."""
+    try:
+        records = load(io.StringIO(text))
+    except EdgeperfError as exc:
+        return type(exc), str(exc), exc.line
+    return repr(records), records
+
+
+class TestReadRows:
+    @settings(max_examples=100, deadline=None)
+    @given(csv_tables())
+    def test_same_records_or_refusal_as_the_row_loop(self, table):
+        name, text = table
+        load, cls, what, *_ = TABLES[name]
+        assert outcome(load, text) == outcome(lambda source: reference_rows(source, cls, what), text)
+
+    def test_violation_before_a_bad_cell_in_the_same_chunk(self):
+        rows = ["m,base,,50,100,1.0,0.1,1"] * 300
+        rows[10] = "m,base,,120,100,1.0,0.1,1"  # a record that refuses itself, line 12
+        rows[20] = "m,base,,fast,100,1.0,0.1,1"  # a cell that float refuses, line 22
+        text = CONFIG_TABLE_HEADER + "\n".join(rows) + "\n"
+        with pytest.raises(InvariantViolation) as err:
+            load_config_table(io.StringIO(text))
+        assert str(err.value) == "config.accuracy: accuracy must be in [0, 100] (line 12)"
+
+    def test_bulk_records_are_ordinary_records(self, monkeypatch):
+        def no_row_loop(*args):
+            raise AssertionError("a chunk went through the row loop")
+
+        monkeypatch.setattr(profiles, "_row_records", no_row_loop)
+        # 300 rows: one chunk the bulk pass builds in full, and one partial chunk.
+        text = CONFIG_TABLE_HEADER + "".join(
+            f" m{i % 7} ,{'base' if i % 3 else 'hard_limit'},{'' if i % 2 else 256},"
+            f"{i % 101},{i * 1.5},{'' if i % 5 == 0 else 0.5 + i},{'' if i % 4 == 0 else i / 8},{1 + i % 3}\n"
+            for i in range(300)
+        )
+        measurements = MEASUREMENT_HEADER + "".join(
+            f"{'decode' if i % 2 else 'prefill'},{1 + i},{i % 2 * i},{0.1 + i},{'' if i % 3 else 5.5},\n"
+            for i in range(300)
+        )
+        records = load_config_table(io.StringIO(text)) + load_measurements(io.StringIO(measurements))
+        assert len(records) == 600
+        for record in records:
+            cls = type(record)
+            built = cls(**{f.name: getattr(record, f.name) for f in dataclasses.fields(cls)})
+            assert record == built and hash(record) == hash(built) and repr(record) == repr(built)
+            assert list(vars(record).items()) == list(vars(built).items())
+            assert dataclasses.replace(record) == dataclasses.replace(built)
+            for f in dataclasses.fields(cls):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, f.name, None)
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    FIELD_LIMIT = "x" * 131_073  # one past csv's default field size limit
+
+    @pytest.mark.parametrize(
+        "loader, flags, header, row, refused_row",
+        [
+            (
+                load_config_table,
+                ["plan", "--max-cost", "1", "--table"],
+                CONFIG_TABLE_HEADER,
+                "m,base,,50,100,1.0,0.1,1",
+                "m,base,,50,100,1.0,-0.1,1",
+            ),
+            (
+                load_measurements,
+                ["fit", "--kind", "prefill-latency", "--data"],
+                MEASUREMENT_HEADER,
+                "prefill,128,0,0.2,,",
+                "prefill,128,0,-0.2,,",
+            ),
+        ],
+        ids=["plan", "fit"],
+    )
+    def test_csv_refusal_is_a_parse_error_with_its_line(
+        self, loader, flags, header, row, refused_row, tmp_path, cli_refuses
+    ):
+        long_row = self.FIELD_LIMIT + "," + row.split(",", 1)[1]
+        path = tmp_path / "table.csv"
+        for rows, error in [
+            ([row] * 299 + [long_row], "line 301: field larger than field limit (131072)"),
+            ([long_row], "line 2: field larger than field limit (131072)"),
+        ]:
+            path.write_text(header + "\n".join(rows) + "\n")
+            with pytest.raises(ParseError) as err:
+                loader(path)
+            assert (str(err.value), err.value.line) == (error, int(error.split()[1][:-1]))
+            cli_refuses(*flags, str(path))
+        # An over-long header cell is refused on line 1.
+        path.write_text(self.FIELD_LIMIT + header)
+        with pytest.raises(ParseError, match="^line 1: field larger"):
+            loader(path)
+        # A record that refuses itself before the over-long row, in the same chunk, is named first.
+        path.write_text(header + "\n".join([row, refused_row, long_row]) + "\n")
+        with pytest.raises(InvariantViolation) as err:
+            loader(path)
+        assert err.value.line == 3
