@@ -17,6 +17,7 @@ and energy evaluators, and ``mape``. ``latency``, ``energy``, ``planner`` and
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache, reduce
-from itertools import count, islice, repeat
+from itertools import islice, repeat
 from operator import add
 from pathlib import Path
 from types import MappingProxyType
@@ -395,49 +396,35 @@ def to_json(record) -> dict:
     return out
 
 
-def _finite_cell(cell: str) -> float:
-    """A CSV cell as a float; ValueError (a ParseError to the caller) unless finite."""
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {cell!r}")
-    return value
-
-
 @cache
-def _cell_parser(kind) -> Callable[[str], object]:
-    """How a CSV cell becomes a ``kind``: a finite float, an int, a str or an Enum member."""
-    if kind is float:
-        return _finite_cell
-    if kind in (int, str):
-        return kind
-    members = {member.value: member for member in kind}  # a dict is faster than kind(cell)
+def _column_parser(kind) -> Callable[[list[str]], list]:
+    """How a column of cells becomes ``kind`` values, with one C-level map.
 
-    def parse(cell):
-        try:
-            return members[cell]
-        except KeyError:
-            raise ValueError(f"{cell!r} is not a valid {kind.__name__}") from None
-
-    return parse
-
-
-@cache
-def _column_parser(kind) -> Callable[[list[str]], Optional[list]]:
-    """How a column of non-empty cells becomes ``kind`` values, with one C-level map.
-
-    None means a cell that ``_cell_parser(kind)`` refuses: one that ``float``
-    or ``int`` rejects, a non-finite float, or an unknown Enum value.
+    A cell that ``float`` or ``int`` rejects, a non-finite float or an
+    unknown Enum value raises ValueError, with ``float``'s or ``int``'s own
+    message or one that names the first such cell.
     """
     if kind is str:
         return lambda cells: cells
-    parse = kind if kind in (float, int) else {member.value: member for member in kind}.__getitem__
+    if kind is int:
+        return lambda cells: list(map(int, cells))
+    if kind is float:
+
+        def column(cells):
+            values = list(map(float, cells))
+            if not all(map(math.isfinite, values)):
+                cell = cells[list(map(math.isfinite, values)).index(False)]
+                raise ValueError(f"non-finite value {cell!r}")
+            return values
+
+        return column
+    members = {member.value: member for member in kind}  # a dict is faster than kind(cell)
 
     def column(cells):
         try:
-            values = list(map(parse, cells))
-        except (ValueError, KeyError):
-            return None
-        return values if kind is not float or all(map(math.isfinite, values)) else None
+            return list(map(members.__getitem__, cells))
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not a valid {kind.__name__}") from None
 
     return column
 
@@ -446,88 +433,76 @@ def _column_parser(kind) -> Callable[[list[str]], Optional[list]]:
 _CHUNK = 256
 
 
-def _chunk(reader, lineno: int) -> tuple[list[list[str]], Optional[ParseError]]:
-    """The next ``_CHUNK`` rows, the first on line ``lineno``, and csv's refusal of the next.
+def _chunk(reader) -> tuple[list[list[str]], list[int], Optional[ParseError]]:
+    """The next ``_CHUNK`` rows, the line before each, and csv's refusal of the next.
 
-    csv refuses a cell past its field limit (and, before Python 3.11, a NUL
-    byte); the rows before it are returned, so they are checked first.
+    Row ``i`` starts on line ``ends[i] + 1``, where ``ends[i]`` is the last
+    line read before it; ``ends`` has one more entry, for the row after the
+    chunk. csv refuses a cell past its field limit (and, before Python 3.11,
+    a NUL byte); the rows before it are returned, so they are checked first.
     """
-    rows = []
+    rows, ends = [], [reader.line_num]
     try:
         for row in islice(reader, _CHUNK):
             rows.append(row)
+            ends.append(reader.line_num)
     except csv.Error as exc:
-        return rows, ParseError(str(exc), line=lineno + len(rows))
-    return rows, None
+        return rows, ends, ParseError(str(exc), line=ends[-1] + 1)
+    return rows, ends, None
 
 
-def _bulk_records(cls, columns, rows: list[list[str]]) -> Optional[list]:
-    """The records of a chunk of rows, built a column at a time.
+def _records(cls, columns, rows: list[list[str]]) -> list:
+    """The records of ``rows``, built a column at a time.
 
-    ``columns`` holds each field's name, column parser and dataclass default.
-    None when some row needs the row loop to name its fault or to skip it: a
-    row of the wrong width, a blank row (it has an empty required cell), an
-    empty cell of a field without a default, a cell its type refuses, or a
-    record that refuses itself.
+    ``columns`` holds each field's name, column parser and default
+    (``_REQUIRED`` for none). A row of the wrong width or a cell that its
+    parser refuses raises ValueError; an empty cell takes its field's
+    default, or is parsed if the field has none. A record that refuses
+    itself raises its InvariantViolation.
     """
-    if set(map(len, rows)) != {len(columns)}:
-        return None
+    widths = set(map(len, rows)) - {len(columns)}
+    if widths:
+        raise ValueError(f"expected {len(columns)} cells, got {widths.pop()}")
     parsed = []
     for (_, parse, default), cells in zip(columns, zip(*rows)):
         cells = list(map(str.strip, cells))
-        if "" not in cells:
-            values = parse(cells)
-        elif default is MISSING:
-            return None
+        if default is _REQUIRED or "" not in cells:
+            parsed.append(parse(cells))
         else:  # an empty cell takes the default, as an omitted keyword does
-            values = parse([cell for cell in cells if cell])
-            if values is not None:
-                present = iter(values)
-                values = [next(present) if cell else default for cell in cells]
-        if values is None:
-            return None
-        parsed.append(values)
+            present = iter(parse([cell for cell in cells if cell]))
+            parsed.append([next(present) if cell else default for cell in cells])
     # The frozen __init__'s own stores, in its order, then its check.
     names = [name for name, _, _ in columns]
     check = cls.__post_init__
     records = []
-    try:
-        for values in zip(*parsed):
-            record = object.__new__(cls)
-            deque(map(object.__setattr__, repeat(record), names, values), 0)
-            check(record)
-            records.append(record)
-    except (ValueError, InvariantViolation):
-        return None
-    return records
-
-
-def _row_records(cls, columns, rows: list[list[str]], start: int) -> list:
-    """The records of the non-blank rows, one row at a time; ``start`` is the first's line.
-
-    ``columns`` holds each field's name, cell parser and whether it parses
-    an empty cell. The first bad row raises a ParseError, or the record's
-    InvariantViolation, with its line.
-    """
-    records = []
-    for lineno, row in enumerate(rows, start=start):
-        cells = list(map(str.strip, row))
-        if not any(cells):
-            continue
-        if len(cells) != len(columns):
-            raise ParseError(f"expected {len(columns)} cells, got {len(cells)}", line=lineno)
-        values = {}
-        try:
-            for (name, parse, required), cell in zip(columns, cells):
-                if cell or required:
-                    values[name] = parse(cell)
-            record = cls(**values)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        except InvariantViolation as exc:  # each record checks itself when built
-            raise InvariantViolation(exc.field, exc.rule, line=lineno) from None
+    for values in zip(*parsed):
+        record = object.__new__(cls)
+        deque(map(object.__setattr__, repeat(record), names, values), 0)
+        check(record)
         records.append(record)
     return records
+
+
+def _refused_chunk(cls, columns, rows: list[list[str]], ends: list[int]) -> list:
+    """The records of a chunk that ``_records`` refused, or its first bad row's error.
+
+    The blank rows are dropped and the rest get one more bulk pass. If that
+    fails too, each row goes through ``_records`` alone, and the first that
+    fails raises a ParseError, or its InvariantViolation, with its line; if
+    none does, the chunk's own error is raised.
+    """
+    kept = [(row, end + 1) for row, end in zip(rows, ends) if any(map(str.strip, row))]
+    try:
+        return _records(cls, columns, [row for row, _ in kept])
+    except (ValueError, InvariantViolation):
+        for row, line in kept:
+            try:
+                _records(cls, columns, [row])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=line) from None
+            except InvariantViolation as exc:
+                raise InvariantViolation(exc.field, exc.rule, line=line) from None
+        raise
 
 
 def read_rows(source: Source, cls, what: str) -> list:
@@ -535,19 +510,21 @@ def read_rows(source: Source, cls, what: str) -> list:
 
     The header names the fields' columns in field order. Each cell is
     stripped and parsed by its field's type; an empty cell means the field's
-    default. ``what`` names the table in errors, and each error names its
-    line. An InvariantViolation that a record raises when it is built is
-    raised again with the row's line. ``cls`` checks itself in
+    default. ``what`` names the table in errors, and each error names the
+    physical line that its row starts on, so a quoted cell that spans lines
+    counts each of them. An InvariantViolation that a record raises when it
+    is built is raised again with the row's line. ``cls`` checks itself in
     ``__post_init__``.
 
-    The rows go in chunks of ``_CHUNK``, each parsed a column at a time, and
-    each record gets its fields as the frozen ``__init__`` stores them. A
-    chunk that this bulk pass refuses goes row by row instead, and that row
-    loop alone names the first bad row.
+    One builder makes every record: ``_records`` parses a chunk of
+    ``_CHUNK`` rows a column at a time and gives each record its fields as
+    the frozen ``__init__`` stores them. A chunk that it refuses drops its
+    blank rows and gets one more pass; if that fails too, its rows go
+    through ``_records`` one at a time, only to name the first bad row.
     """
     schema = _schema(cls)
     header = [f.key for f in schema]
-    reader = csv.reader(_source_text(source).splitlines())
+    reader = csv.reader(io.StringIO(_source_text(source), newline=""))
     try:
         first = next(reader, None)
     except csv.Error as exc:
@@ -556,14 +533,14 @@ def read_rows(source: Source, cls, what: str) -> list:
         raise ParseError(f"empty {what} (header required)")
     if [h.strip() for h in first] != header:
         raise ParseError(f"bad header {first!r}, expected {','.join(header)}", line=1)
-    bulk = [(f.name, _column_parser(f.kind), d.default) for f, d in zip(schema, fields(cls))]
-    # A field without a default parses even an empty cell.
-    rowwise = [(f.name, _cell_parser(f.kind), f.default is _REQUIRED) for f in schema]
+    columns = [(f.name, _column_parser(f.kind), f.default) for f in schema]
     records = []
-    for lineno in count(2, _CHUNK):
-        rows, refused = _chunk(reader, lineno)
-        chunk = _bulk_records(cls, bulk, rows)
-        records += _row_records(cls, rowwise, rows, lineno) if chunk is None else chunk
+    while True:
+        rows, ends, refused = _chunk(reader)
+        try:
+            records += _records(cls, columns, rows)
+        except (ValueError, InvariantViolation):
+            records += _refused_chunk(cls, columns, rows, ends)
         if refused is not None:
             raise refused
         if len(rows) < _CHUNK:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -506,19 +507,47 @@ def test_unreadable_source(loader, flags, tmp_path, cli_refuses):
 # read_rows: the chunked column-at-a-time parser against the row loop
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def cell_parser(kind):
+    """How the reference parses one CSV cell: a finite float, an int, a str or an Enum member."""
+    if kind is float:
+        return finite_cell
+    if kind in (int, str):
+        return kind
+    members = {member.value: member for member in kind}
+
+    def parse(cell):
+        try:
+            return members[cell]
+        except KeyError:
+            raise ValueError(f"{cell!r} is not a valid {kind.__name__}") from None
+
+    return parse
+
+
+def finite_cell(cell):
+    """A CSV cell as a float; ValueError unless finite."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
 def reference_rows(source, cls, what):
     """read_rows as one loop over the rows: the reference that the bulk pass must match."""
     schema = profiles._schema(cls)
     header = [f.key for f in schema]
-    reader = csv.reader(source.read().splitlines())
+    reader = csv.reader(io.StringIO(source.read(), newline=""))
     first = next(reader, None)
     if first is None:
         raise ParseError(f"empty {what} (header required)")
     if [h.strip() for h in first] != header:
         raise ParseError(f"bad header {first!r}, expected {','.join(header)}", line=1)
-    columns = [(f.name, profiles._cell_parser(f.kind), f.default is profiles._REQUIRED) for f in schema]
+    columns = [(f.name, cell_parser(f.kind), f.default is profiles._REQUIRED) for f in schema]
     records = []
-    for lineno, row in enumerate(reader, start=2):
+    end = reader.line_num
+    for row in reader:
+        lineno, end = end + 1, reader.line_num  # the physical line that the row starts on
         cells = list(map(str.strip, row))
         if not any(cells):
             continue
@@ -668,7 +697,7 @@ class TestReadRows:
         def no_row_loop(*args):
             raise AssertionError("a chunk went through the row loop")
 
-        monkeypatch.setattr(profiles, "_row_records", no_row_loop)
+        monkeypatch.setattr(profiles, "_refused_chunk", no_row_loop)
         # 300 rows: one chunk the bulk pass builds in full, and one partial chunk.
         text = CONFIG_TABLE_HEADER + "".join(
             f" m{i % 7} ,{'base' if i % 3 else 'hard_limit'},{'' if i % 2 else 256},"
@@ -737,3 +766,87 @@ class TestReadRows:
         with pytest.raises(InvariantViolation) as err:
             loader(path)
         assert err.value.line == 3
+
+    def test_blank_rows_take_one_more_bulk_pass(self, monkeypatch):
+        rows = [f"m{i % 7},base,,{i % 101},{i * 1.5},1.0,0.1,{1 + i % 3}\n" for i in range(300)]
+        blanked = rows[:10] + ["\n"] + rows[10:100] + [" \t \n"] + rows[100:200] + [" ,,,, ,,,\n"] + rows[200:]
+        calls = []
+        records = profiles._records
+
+        def counted(cls, columns, rows):
+            calls.append(len(rows))
+            return records(cls, columns, rows)
+
+        monkeypatch.setattr(profiles, "_records", counted)
+        loaded = load_config_table(io.StringIO(CONFIG_TABLE_HEADER + "".join(blanked)))
+        # The first chunk is refused for its three blank rows and built without them.
+        assert calls == [256, 253, 47]
+        assert loaded == load_config_table(io.StringIO(CONFIG_TABLE_HEADER + "".join(rows)))
+
+    @pytest.mark.parametrize(
+        "bad_row, error",
+        [
+            ("m,base,,150,100,1.0,0.1,1", "config.accuracy: accuracy must be in [0, 100] (line 4)"),
+            ("m,base,,fast,100,1.0,0.1,1", "line 4: could not convert string to float: 'fast'"),
+        ],
+        ids=["violation", "bad-cell"],
+    )
+    def test_a_row_is_named_by_the_line_it_starts_on(self, bad_row, error, tmp_path, capsys):
+        # The quoted cell spans lines 2 and 3, so the next row starts on line 4.
+        path = tmp_path / "table.csv"
+        path.write_text(CONFIG_TABLE_HEADER + '"m\nx",base,,50,100,1.0,0.1,1\n' + bad_row + "\n")
+        with pytest.raises(EdgeperfError) as err:
+            load_config_table(path)
+        assert (str(err.value), err.value.line) == (error, 4)
+        assert cli.run(["plan", "--max-cost", "1", "--table", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    def test_csv_refusal_after_a_multi_line_cell_names_its_own_line(self, tmp_path, capsys):
+        # Lines 2-3 hold one row, lines 4-301 one row each, so the over-long row starts on line 302.
+        row = "m,base,,50,100,1.0,0.1,1"
+        rows = ['"m\nx"' + row[1:]] + [row] * 298 + [self.FIELD_LIMIT + row[1:]]
+        path = tmp_path / "table.csv"
+        path.write_text(CONFIG_TABLE_HEADER + "\n".join(rows) + "\n")
+        error = "line 302: field larger than field limit (131072)"
+        with pytest.raises(ParseError) as err:
+            load_config_table(path)
+        assert (str(err.value), err.value.line) == (error, 302)
+        assert cli.run(["plan", "--max-cost", "1", "--table", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    @pytest.mark.parametrize(
+        "cell, model_id",
+        [('"m\nx"', "m\nx"), ('"m\r\nx"', "m\r\nx")]
+        + [(f"m{c}x", f"m{c}x") for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"],
+    )
+    def test_rows_split_only_where_csv_does(self, cell, model_id):
+        # A quoted cell keeps its line break; csv breaks no row at the other
+        # characters that str.splitlines breaks lines at.
+        text = CONFIG_TABLE_HEADER + cell + ",base,,50,100,1.0,0.1,1\nm,base,,50,100,1.0,0.1,1\n"
+        assert [p.model_id for p in load_config_table(io.StringIO(text))] == [model_id, "m"]
+
+    @pytest.mark.parametrize("cell, model_id", [('"m\nx"', "m\nx"), ("m\u2028x", "m\u2028x")])
+    def test_plan_prints_the_cell_as_written(self, cell, model_id, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text(CONFIG_TABLE_HEADER + cell + ",base,,50,100,1.0,0.1,1\n", encoding="utf-8")
+        assert cli.run(["plan", "--max-cost", "1", "--json", "--table", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["model_id"] == model_id
+
+    @pytest.mark.parametrize(
+        "kind, cells",
+        [
+            (float, ["1", "2.5", "inf", "nan"]),
+            (float, ["1", "x", "nan"]),
+            (int, ["1", "1.5", "x"]),
+            (Phase, ["prefill", "train", "x"]),
+        ],
+    )
+    def test_a_refused_column_names_its_first_bad_cell(self, kind, cells):
+        # The message of the first cell that the reference cell parser refuses.
+        parse = cell_parser(kind)
+        with pytest.raises(ValueError) as expected:
+            for cell in cells:
+                parse(cell)
+        with pytest.raises(ValueError) as err:
+            profiles._column_parser(kind)(cells)
+        assert str(err.value) == str(expected.value)
