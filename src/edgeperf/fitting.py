@@ -37,18 +37,19 @@ point raises ``DegenerateDesign``.
 
 ``fit_piecewise`` visits the candidate breakpoints best first, from a heap
 keyed by a lower bound on each candidate's total SSE, and runs a branch fit
-only when its candidate reaches the front. Each branch fit is monotone in x:
-a decay fit is non-increasing, a floor is constant and a log fit follows the
-sign of its slope. So its SSE is at least that of the best monotone fit of
-the same points, which one pool-adjacent-violators pass gives for every
-prefix (``_nonincreasing_bounds``, shrunk by a margin for rounding); run on
-the reversed points it bounds every suffix. A decay prefix that holds a
-y <= 0 cannot be fitted, and its bound is +inf. The least total wins, and
-among totals within 1e-15 of it the smallest breakpoint, whatever the
-order they were found in. Inside the domain no skipped fit could have
-raised, so the result is bit-identical to the full scan. Over the 40 jump
-curves in the tests, under both kinds, it runs 126 of the full scan's 1169
-decay fits and 813 of its 3468 floor and log fits.
+only when its candidate reaches the front. A floor and a log branch are
+fits of y ~ p*u + q, whose exact SSE running centred moments give for every
+prefix, and on the reversed points for every suffix, in one pass
+(``_moment_bounds``). A decay fit is not linear, but it is non-increasing,
+so one pool-adjacent-violators pass bounds it for every prefix
+(``_nonincreasing_bounds``); a decay prefix that holds a y <= 0 cannot be
+fitted, and its bound is +inf. Each bound is less a margin, derived in its
+docstring, that keeps it at or below the SSE that the fit computes. The
+least total wins, and among totals within 1e-15 of it the smallest
+breakpoint, whatever the order they were found in. Inside the domain no
+skipped fit could have raised, so the result is bit-identical to the full
+scan. Over the 40 jump curves in the tests, under both kinds, it runs 126
+of the full scan's 1169 decay fits and 206 of its 3468 floor and log fits.
 
 Every coefficient and SSE is returned as a finite plain ``float``; a fit that
 would be non-finite raises ``DegenerateDesign`` instead. ``fitting.mape`` is
@@ -456,36 +457,121 @@ def fit_exp_decay(points: Sequence[tuple[float, float]]) -> FitResult:
     )
 
 
-def _nonincreasing_bounds(xs: list[float], ys: list[float]) -> list[float]:
-    """Lower bounds on the SSE of any fit of y that is non-increasing in list order, per prefix.
+def _moment_bounds(y: np.ndarray, u: np.ndarray | None = None) -> list[float]:
+    """Entry k is at most the SSE that ``_fit_line`` computes over the first k points.
 
-    The fit must also be equal on equal x, so each run of equal x is pooled
-    into one block, whatever the order or sign of its y, before the
-    pool-adjacent-violators algorithm (Barlow et al. 1972) merges the blocks
-    of the best such fit, as (sum, count, mean), while they violate the order.
-    Each merge adds its non-negative SSE increment c1*c2/(c1+c2) *
-    (mean1 - mean2)**2, which avoids the cancellation of sum(y**2) -
-    sum(block sum**2 / count). Entry n bounds the first n points; an entry
-    inside a run is 0. Each entry at the end of a run is shrunk by
-    n*(1e-9*SSE + 1e-13*n*sum(y**2)) + 1e-300, which covers the rounding of
-    the block means and of the sums here and in the fit.
+    The fit is y ~ p*u + q, or the constant fit when u is None. Its exact
+    least-squares SSE is S_yy - S_uy**2/S_uu, or S_yy, from the centred sums
+    S_ab = sum over j of (j-1)/j * d_a(j) * d_b(j), where d_a(j) is the j-th
+    a less the mean of the j-1 before it (Welford 1962; Chan, Golub and
+    LeVeque 1983). One pass gives every prefix's sums: running sums of the
+    values give the means, and running sums of the terms give the S_ab.
+
+    The margin follows Higham (2002, ch. 2-4). Write e = 2**-53 for the
+    unit roundoff, v = 2**-1074, n for the number of points, and g =
+    2*(n+4)*e, which is at least every gamma_m below (m <= n+3) and covers
+    the few roundings of the margin's own evaluation besides. Gradual
+    underflow adds at most v/2 to a product or a quotient, and nothing to a
+    sum. Fix a prefix.
+    1. Its T_ab, the S_ab taken about the computed means, are summed from
+       terms rounded five times, in a running sum rounded at most n-2 times.
+       So, by Cauchy-Schwarz, each computed S_ab is within 2*g*r_a*r_b of
+       T_ab, where r_a = (1+g)*sqrt(S_aa + 2n*v/g) >= sqrt(T_aa).
+    2. A computed mean is within 2e*A_a + v/2 of the exact one, where A_a
+       is the prefix's sum of |a|: a sum in any order is within
+       gamma_(n-1)*A_a (Higham eq. 4.4), and one division follows. So in the norm with
+       weights (j-1)/j, the d_a about the exact means are within s_a =
+       sqrt(n)*(2e*A_a + v) of those about the computed means.
+    3. The exact SSE is the least of |d_y - p*d_u|**2 over p. By Minkowski's
+       inequality its root is at least sqrt(T) - s_y - P*s_u, where T is the
+       least of the same quadratic in p over the T_ab, and P bounds |p| at
+       both minima. sqrt(S_uu) is at least w = (1-2g)*r_u - s_u -
+       2*sqrt(n*v/g), so P = (1+g)*(r_y + 2*s_y)/w + e/2 will do, and
+       T >= S_yy - S_uy**2/S_uu - 2g*(r_y + P*r_u)**2 by step 1. Where w is
+       not above 2*sqrt(n*v/e), P is +inf and the entry 0 or less. With no
+       u, sqrt(T) >= (1-g)*sqrt(S_yy - 2n*v) and P = 0.
+    4. ``_fit_line`` sums the squares of y - f, where f are its fitted values,
+       to within a factor 1 - g, less n*v. For the constant fit, f is one
+       value, so that sum is at least the exact SSE. For a line,
+       f = p*u + q + err, with |err| <= e*|p*u| + 2e*(|y| + |y - f|) + v/2,
+       since f is rounded before and after adding q. So this error scales
+       with |p*u| and |y|, not with the centred sums. The computed slope p
+       is a dot product of the centred u and y over a sum of squares, each
+       rounded, so |p| <= P by Cauchy-Schwarz, as w**2 > 4n*v/e. In the
+       2-norm, e*|u| <= s_u and 2e*|y| <= s_y. So, by the triangle
+       inequality, |y - f|*(1+2e) is at least the root of the exact SSE,
+       less 2*s_y + 2*P*s_u + n*v, or less s_y for the constant fit.
+    Entry k is (1-g) times the square of that bound, less n*v; entries 0
+    and 1 are 0, the SSE of a fit of at most one point. It runs under
+    ``fit_piecewise``'s np.errstate, where an infinite P or an overflow
+    gives an entry of 0 or less, and never a nan.
     """
-    bounds, blocks = [0.0], []  # blocks of (sum, count, mean)
-    sse = sum_y2 = 0.0
+    n, e, v = len(y), 2.0**-53, 2.0**-1074
+    g, nv, k = 2 * (n + 4) * e, n * v, np.arange(1.0, n + 1)
+    vals = y[None] if u is None else np.array([u, y])  # rows: (u,) y
+    d = vals[:, 1:] - np.add.accumulate(vals, axis=1)[:, :-1] / k[:-1]
+    sums = np.add.accumulate(k[:-1] / k[1:] * (d[:, None] * d[None]), axis=2)  # over 2..n points
+    drift = (np.add.accumulate(np.abs(vals), axis=1)[:, 1:] * (2 * e) + v) * math.sqrt(n)
+    if u is None:
+        root = np.sqrt(np.maximum(sums[0, 0] - 2 * nv, 0.0)) * (1 - g) - drift[0]
+    else:
+        r_u, r_y = np.sqrt(np.diagonal(sums).T + 2 * nv / g) * (1 + g)
+        w = r_u * (1 - 2 * g) - (drift[0] + 2 * math.sqrt(nv / g))
+        p = (r_y + 2 * drift[1]) / np.where(w > 2 * math.sqrt(nv / e), w, 0.0) * (1 + g) + e / 2
+        least = sums[1, 1] - sums[0, 1] ** 2 / np.maximum(sums[0, 0], nv) - 2 * g * (r_y + p * r_u) ** 2
+        root = np.sqrt(np.maximum(least, 0.0)) * (1 - 8 * e) - (2 * drift[1] + nv) - p * (2 * drift[0])
+    return [0.0, 0.0] + (np.maximum(root, 0.0) ** 2 * ((1 - g) * (1 - 4 * e)) - nv).tolist()
+
+
+def _nonincreasing_bounds(xs: list[float], ys: list[float]) -> list[float]:
+    """Entry n is at most the SSE that a decay fit computes over the first n points, sorted by x.
+
+    The fit is non-increasing in x and equal on equal x, so each run of
+    equal x is pooled into one block before the pool-adjacent-violators
+    algorithm (Barlow et al. 1972) merges blocks, as (sum, count, mean), and
+    adds each merge's SSE increment c1*c2/(c1+c2) * (mean1 - mean2)**2. An
+    entry inside a run is 0 or less. A decay fit raises over a prefix that
+    holds a y <= 0, so the entries are +inf from the first such y on; N is
+    the number of points before it.
+
+    The margin, with e = 2**-53, v = 2**-1074 and g = 2*(N+4)*e. A block's
+    sum of c positive terms is within gamma_(c-1) of exact and its mean
+    within gamma_c, and v/2 for gradual underflow (Higham 2002, ch. 2-4).
+    With t = 2*(N+3)*e, a merge is made only when mean1*(1+t) + 4v <
+    mean2*(1-t), which proves that the exact means violate the order too,
+    whatever the roundings of that test. So every split
+    of a block between two x leaves a left part whose exact mean is at most
+    its right part's, and the exact SSE W of the blocks is at most the least
+    SSE P of a non-increasing fit: P >= W less twice the inner product of
+    the residuals with the best fit, which, summed by parts inside each
+    block, is <= 0. Each increment's gap is off by at most 2*t*max(y) + 2v,
+    and its weight is at most min(c1, c2); the weights sum to at most
+    N*log2(2N), since a point is on the smaller side at most log2(N) times.
+    By Minkowski's inequality, the computed SSE S then gives
+    sqrt(W) >= (1-g)*sqrt(S - 2N*v) - D, with D = (2*t*max(y) + 2v) *
+    sqrt(N*log2(2N)).
+    The fit's values are non-increasing in x and equal on equal x, so the
+    sum of squares of its residuals is at least P, and it computes that sum
+    to within a factor 1 - g, less N*v. So entry n is
+    (1-g) * max(0, (1-g)*sqrt(S - 2N*v) - D)**2 - N*v.
+    """
+    k = next((i for i, y in enumerate(ys) if not y > 0), len(ys))
+    tail, xs, ys = [math.inf] * (len(ys) - k), xs[:k], ys[:k]
+    t, g, nv = 2 * (k + 3) * 2.0**-53, 2 * (k + 4) * 2.0**-53, k * 2.0**-1074
+    sses, blocks = [0.0], []  # blocks of (sum, count, mean)
+    sse = 0.0
     total = count = 0  # the run being pooled
-    size = len(xs)
     for n, (x, y) in enumerate(zip(xs, ys), 1):
         if count:
             gap = total / count - y
             sse += count / (count + 1) * (gap * gap)
         total += y
         count += 1
-        sum_y2 += y * y
-        if n < size and xs[n] == x:
-            bounds.append(0.0)
+        if n < k and xs[n] == x:
+            sses.append(0.0)
             continue
         mean = total / count
-        while blocks and blocks[-1][2] < mean:
+        while blocks and blocks[-1][2] * (1 + t) + 2.0**-1072 < mean * (1 - t):
             prev_total, prev_count, prev_mean = blocks.pop()
             gap = prev_mean - mean
             sse += prev_count * count / (prev_count + count) * (gap * gap)
@@ -494,36 +580,10 @@ def _nonincreasing_bounds(xs: list[float], ys: list[float]) -> list[float]:
             mean = total / count
         blocks.append((total, count, mean))
         total = count = 0
-        bounds.append(sse - n * (1e-9 * sse + 1e-13 * n * sum_y2) - 1e-300)
-    return bounds
-
-
-def _left_bounds(xs: list[float], ys: list[float], kind: str) -> list[float]:
-    """Entry n is at most the SSE of the left branch's fit over the first n points, sorted.
-
-    A decay fit is non-increasing in x. It raises over any prefix that holds
-    a y <= 0, so its entries are +inf from the first such y on. A floor is
-    constant, so both the non-increasing bound and the non-decreasing one
-    (the non-increasing bound of -y) hold, and the larger is taken.
-    """
-    if kind == "energy":
-        k = next((i for i, y in enumerate(ys) if not y > 0), len(ys))
-        return _nonincreasing_bounds(xs[:k], ys[:k]) + [math.inf] * (len(ys) - k)
-    return list(map(max, _nonincreasing_bounds(xs, ys), _nonincreasing_bounds(xs, [-y for y in ys])))
-
-
-def _right_bounds(xs: list[float], ys: list[float]) -> list[float]:
-    """Entry n is at most the SSE of the log fit over all but the first n points, sorted.
-
-    Rounding is monotone, so a log fit's values are monotone in x, in the
-    direction of its slope's sign. On the reversed points, the
-    non-increasing bound of y covers a rising fit and that of -y a falling
-    one, so the smaller of the two holds.
-    """
-    back_x, back_y = xs[::-1], ys[::-1]
-    rising = _nonincreasing_bounds(back_x, back_y)
-    falling = _nonincreasing_bounds(back_x, [-y for y in back_y])
-    return list(map(min, rising[::-1], falling[::-1]))
+        sses.append(sse)
+    drift = (2 * t * max(ys, default=0.0) + 2.0**-1073) * math.sqrt(k * math.log2(2 * k + 1))
+    root = np.maximum(np.sqrt(np.maximum(np.array(sses) - 2 * nv, 0.0)) * (1 - g) - drift, 0.0)
+    return ((1 - g) * root * root - nv).tolist() + tail
 
 
 @np.errstate(all="ignore")
@@ -544,14 +604,14 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     ``decode_power.threshold``, since ``decode_power`` puts the position
     equal to its threshold on the log branch.
 
-    The scan is branch and bound (Land and Doig 1960), best first. Every
-    branch fit is monotone in x and equal on equal x: a decay fit is
-    non-increasing, a floor is constant, and a log fit rises or falls with
-    the sign of its slope, and rounding keeps that. So its SSE is at least
-    that of the best such fit of its points (Barlow et al. 1972), which
-    ``_left_bounds`` and ``_right_bounds`` give, less a margin for rounding,
-    for every prefix and suffix; a decay prefix that holds a y <= 0 is
-    bounded by +inf. The candidates go on a heap keyed by their left bound
+    The scan is branch and bound (Land and Doig 1960), best first. A floor
+    is the constant fit and a log branch the line fit in ln x, whose SSE
+    ``_moment_bounds`` bounds for every prefix and suffix; a decay fit is
+    non-increasing in x and equal on equal x, so its SSE is at least that
+    of the best such fit (Barlow et al. 1972), which
+    ``_nonincreasing_bounds`` gives for every prefix, and a decay prefix
+    that holds a y <= 0 is bounded by +inf. Each bound is less a margin for
+    rounding. The candidates go on a heap keyed by their left bound
     plus their right bound. Popping a candidate the first time runs its log
     fit and pushes it back, keyed by its left bound plus its log SSE;
     popping it again runs its left fit and records its total. Rounded
@@ -579,7 +639,8 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
         amp, lam, floor, sse = _exp_decay(xs[:n], ys[:n])
         return sse, {"exp_A": amp, "exp_lambda": lam, "exp_C": floor}
 
-    left_lb, right_lb = _left_bounds(xl, yl, kind), _right_bounds(xl, yl)
+    left_lb = _moment_bounds(ys) if kind == "power" else _nonincreasing_bounds(xl, yl)
+    right_lb = _moment_bounds(ys[::-1], log_xs[::-1])[::-1]
     # n points on the left, x <= bp = xl[n - 1], and at least three on the
     # right. bp must end its run of equal x; the right needs two distinct x > 0.
     heap = [

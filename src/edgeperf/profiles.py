@@ -311,11 +311,11 @@ def _schema(cls) -> tuple[_Field, ...]:
     return tuple(out)
 
 
-def _source_text(source: Source) -> str:
-    """All the text of a path or of an open text stream."""
+def _source_text(source: Source, newline: str | None = None) -> str:
+    """All the text of a path, opened with ``newline`` as ``open`` takes it, or of an open text stream."""
     try:
         if isinstance(source, (str, os.PathLike)):
-            with open(source, encoding="utf-8") as fh:
+            with open(source, encoding="utf-8", newline=newline) as fh:
                 return fh.read()
         return source.read()
     except FileNotFoundError:
@@ -524,7 +524,7 @@ def read_rows(source: Source, cls, what: str) -> list:
     """
     schema = _schema(cls)
     header = [f.key for f in schema]
-    reader = csv.reader(io.StringIO(_source_text(source), newline=""))
+    reader = csv.reader(io.StringIO(_source_text(source, newline=""), newline=""))
     try:
         first = next(reader, None)
     except csv.Error as exc:

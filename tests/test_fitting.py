@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -803,6 +804,105 @@ RUN_ORDER_TRAP = (
 )
 
 
+def large_curve(kind, n, seed=1, sigma=0.01):
+    """n points at x = 1..n: a 5.9 floor (power), or a decay to it (energy), up to x = n/5, then 0.75 ln x + 3.2.
+
+    Gaussian noise of ``sigma``, seeded; sorted by x.
+    """
+    rng = random.Random(seed)
+    points = []
+    for x in range(1, n + 1):
+        left = 5.9 if kind == "power" else 5.9 + 0.5 * math.exp(-20 * x / n)
+        points.append((float(x), (left if x <= n // 5 else 0.75 * math.log(x) + 3.2) + rng.gauss(0.0, sigma)))
+    return points
+
+
+def _stress_huge_mean():
+    # Noise of 1e-9 on a mean of 1e6: the centred sums are a few ulps of the
+    # mean, and the uncentred sums 1e30 times larger.
+    rng = random.Random(1)
+    return [(float(x), 1e6 + (0.0 if x <= 40 else 1e-7 * math.log(x)) + rng.gauss(0.0, 1e-9)) for x in range(1, 201)]
+
+
+def _stress_equal_runs():
+    # Runs of 30 equal x on both sides, with noise and without.
+    rng = random.Random(2)
+    points = []
+    for x in (1.0, 2.0, 3.0, 500.0, 900.0, 901.0, 4000.0):
+        for _ in range(30):
+            y = (0.1 if x < 100 else 0.01 * math.log(x)) * math.exp(rng.gauss(0.0, 0.01 if x != 900.0 else 0.0))
+            points.append((x, y))
+    return points
+
+
+def _stress_wide_log():
+    # The log side spans x from 1e-300 to 1e300, so ln x spans -691 to 691,
+    # with a few neighbouring floats whose logs are equal or one ulp apart.
+    rng = random.Random(3)
+    xs = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(150)]
+    xs += [1e300, math.nextafter(1e300, math.inf), 1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)]
+    left = [(-float(i), 2.0 * math.exp(rng.gauss(0.0, 0.01))) for i in range(40)]
+    return left + [(x, 0.002 * math.log(x) + 3.0 + rng.gauss(0.0, 0.01)) for x in xs]
+
+
+def _stress_near_1e100():
+    # y within a factor 1.0001 of the 1e100 bound, the floor and decay left
+    # of x = 300 and a log right of it.
+    rng = random.Random(4)
+    points = []
+    for _ in range(200):
+        x = round(math.exp(rng.uniform(0.0, math.log(8192))))
+        shape = math.exp(-x / 100.0) + 0.05 if x <= 300 else 0.01 * math.log(x)
+        points.append((float(x), 1e100 * min(1.0, 0.9 * shape / 1.05 * math.exp(rng.gauss(0.0, 1e-4)))))
+    return points
+
+
+MARGIN_STRESS = {
+    "huge mean": _stress_huge_mean,
+    "equal runs": _stress_equal_runs,
+    "wide log": _stress_wide_log,
+    "near 1e100": _stress_near_1e100,
+}
+
+
+@np.errstate(all="ignore")
+def check_bounds(points, candidates_only=False):
+    """Assert that each bound of ``fit_piecewise`` is at most the SSE of the fit it bounds; the number checked.
+
+    The floor and decay bounds over every prefix and the log bound over
+    every suffix of the sorted points, or only at the candidate breakpoints.
+    """
+    pts = sorted(points)
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+    size, checked = len(pts), 0
+    log_xs = np.log(xs)
+    right = fitting._moment_bounds(ys[::-1], log_xs[::-1])[::-1]
+    assert len(right) == size + 1
+    for kind in ("energy", "power"):
+        left = fitting._moment_bounds(ys) if kind == "power" else fitting._nonincreasing_bounds(xs.tolist(), ys.tolist())
+        assert len(left) == size + 1
+        for n in range(1, size + 1):
+            candidate = n >= (4 if kind == "energy" else 3) and (
+                n == size or not (xs[n - 1] == xs[n] or xs[n] == xs[-1] or xs[n] <= 0 or n > size - 3)
+            )
+            if candidates_only and not candidate:
+                continue
+            if left[n] < math.inf:
+                if kind == "power":
+                    sse = fitting._fit_two(np.zeros(n), ys[:n])[2]
+                else:
+                    sse = fitting._exp_decay(xs[:n], ys[:n])[3]
+                assert left[n] <= sse
+                checked += 1
+            else:  # the decay fit of a prefix with a y <= 0 raises
+                assert kind == "energy" and min(ys[:n]) <= 0
+            if n < size and kind == "power" and xs[n] > 0:
+                assert right[n] <= fitting._fit_two(log_xs[n:], ys[n:])[2]
+                checked += 1
+    return checked
+
+
 class TestPiecewisePruning:
     """The pruned breakpoint scan against the full one it replaced."""
 
@@ -888,13 +988,22 @@ class TestPiecewisePruning:
         monkeypatch.setattr(fitting, "_exp_decay", uncounted)
         return calls
 
-    @pytest.mark.parametrize("kind, fits", [("energy", 436), ("power", 377)])
+    @pytest.mark.parametrize("kind, fits", [("energy", 126), ("power", 80)])
     def test_branch_fits_over_the_jump_golden_curves(self, branch_fits, kind, fits):
         for seed in GOLDEN_SEEDS:
             fit_piecewise(jump_curve(seed), kind)
         # The full scan runs 1124 log fits for energy and 2344 floor and log
-        # fits for power over these 40 curves.
+        # fits for power over these 40 curves; with monotone (PAVA) bounds on
+        # the floor and log branches the scan ran 436 and 377.
         assert len(branch_fits) == fits
+
+    @pytest.mark.parametrize("kind, fits, decays", [("energy", 1, 1), ("power", 2, 0)])
+    def test_branch_fits_on_a_16000_point_curve(self, decay_fits, branch_fits, kind, fits, decays):
+        # Monotone bounds on the floor and log branches ran 3061 log fits
+        # (energy) and 3200 floor and log fits (power) here.
+        got = fit_piecewise(large_curve(kind, 16_000), kind)
+        assert (len(branch_fits), len(decay_fits)) == (fits, decays)
+        assert got.coefficients.threshold == 3200.0
 
     def test_a_near_tie_goes_to_the_smaller_breakpoint(self, decay_fits):
         # Noise-free and continuous at 2448: the breakpoints 1744 and 2448 both
@@ -974,34 +1083,39 @@ class TestPiecewisePruning:
         checked = 0
         curves = [jump_curve(seed) for seed in GOLDEN_SEEDS] + [cliff_curve(seed, 60) for seed in range(10)]
         for points in curves + [RUN_ORDER_TRAP]:
-            pts = sorted(points)
-            xs = np.array([p[0] for p in pts])
-            ys = np.array([p[1] for p in pts])
-            size = len(pts)
-            right = fitting._right_bounds(xs.tolist(), ys.tolist())
-            assert len(right) == size + 1
-            for kind in ("energy", "power"):
-                left = fitting._left_bounds(xs.tolist(), ys.tolist(), kind)
-                assert len(left) == size + 1
-                for n in range(4 if kind == "energy" else 3, size + 1):
-                    if n < size and (xs[n - 1] == xs[n] or xs[n] == xs[-1] or xs[n] <= 0 or n > size - 3):
-                        continue  # not a candidate
-                    if left[n] < math.inf:
-                        if kind == "power":
-                            sse = fitting._fit_two(np.zeros(n), ys[:n])[2]
-                        else:
-                            sse = fitting._exp_decay(xs[:n], ys[:n])[3]
-                        assert left[n] <= sse
-                        checked += 1
-                    else:  # the decay fit of a prefix with a y <= 0 raises
-                        assert kind == "energy" and min(ys[:n]) <= 0
-                    if n < size:
-                        assert right[n] <= fitting._fit_two(np.log(xs[n:]), ys[n:])[2]
-                        checked += 1
+            checked += check_bounds(points, candidates_only=True)
         assert checked > 4000
         # Decay prefixes are +inf from the first y <= 0 on, where a decay fit raises.
-        bounds = fitting._left_bounds([1.0, 2.0, 3.0], [3.0, -1.0, 2.0], "energy")
+        bounds = fitting._nonincreasing_bounds([1.0, 2.0, 3.0], [3.0, -1.0, 2.0])
         assert len(bounds) == 4 and bounds[2:] == [math.inf, math.inf]
+
+    @pytest.mark.parametrize("stress", sorted(MARGIN_STRESS))
+    def test_the_margins_hold_on_stress_curves(self, stress):
+        # Every entry of every bound, candidate or not, against the fit it
+        # bounds, and the pruned scan against the full one.
+        points = MARGIN_STRESS[stress]()
+        assert check_bounds(points) > 100
+        for kind in ("energy", "power"):
+            assert piecewise_outcome(fit_piecewise, points, kind) == piecewise_outcome(
+                _piecewise_reference, points, kind
+            )
+
+    def test_large_curves_match_the_full_scan(self):
+        # About 2000 points each, seeded, until a few seconds are spent; the
+        # energy reference runs one decay fit per candidate, so its curves
+        # are shorter.
+        start, seed, done = time.perf_counter(), 0, set()
+        while time.perf_counter() - start < 4.0 or len(done) < 2:
+            kind = ("power", "energy")[seed % 2]
+            rng = random.Random(seed)
+            n = rng.randint(1800, 2200) if kind == "power" else rng.randint(300, 500)
+            points = large_curve(kind, n, seed, sigma=rng.choice([0.01, 0.3, 0.0]))
+            rng.shuffle(points)
+            assert piecewise_outcome(fit_piecewise, points, kind) == piecewise_outcome(
+                _piecewise_reference, points, kind
+            )
+            done.add(kind)
+            seed += 1
 
     def test_a_cliff_curve_runs_one_decay_fit(self, decay_fits):
         # The log side crosses zero, as the shipped 1.5B decode energy does:
@@ -1027,8 +1141,8 @@ class TestPiecewisePruning:
         )
 
     def test_exp_is_monotone(self):
-        # The bounds hold because exp(-lambda*x) never rises along sorted x,
-        # and ln x never falls.
+        # The decay bound holds because exp(-lambda*x) never rises along
+        # sorted x; ln x never falls either.
         t = np.sort(np.random.default_rng(5).uniform(-746.0, 0.0, 100_000))
         assert np.all(np.exp(t) <= np.exp(np.nextafter(t, 0.0)))
         assert np.all(np.diff(np.exp(t)) >= 0)

@@ -825,6 +825,19 @@ class TestReadRows:
         text = CONFIG_TABLE_HEADER + cell + ",base,,50,100,1.0,0.1,1\nm,base,,50,100,1.0,0.1,1\n"
         assert [p.model_id for p in load_config_table(io.StringIO(text))] == [model_id, "m"]
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_a_path_and_a_stream_load_the_same_records(self, ending, tmp_path):
+        # A CSV path is read with newline="", as the csv module asks, so a
+        # quoted cell keeps its \r\n on either line ending.
+        rows = [CONFIG_TABLE_HEADER.rstrip("\n"), '"m\r\nx",base,,50,100,1.0,0.1,1', "m,base,,50,100,1.0,0.1,1"]
+        path = tmp_path / "table.csv"
+        path.write_bytes((ending.join(rows) + ending).encode())
+        with open(path, encoding="utf-8", newline="") as fh:
+            stream = io.StringIO(fh.read())
+        from_path, from_stream = load_config_table(path), load_config_table(stream)
+        assert from_path == from_stream
+        assert [p.model_id for p in from_path] == ["m\r\nx", "m"]
+
     @pytest.mark.parametrize("cell, model_id", [('"m\nx"', "m\nx"), ("m\u2028x", "m\u2028x")])
     def test_plan_prints_the_cell_as_written(self, cell, model_id, tmp_path, capsys):
         path = tmp_path / "table.csv"
