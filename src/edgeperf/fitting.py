@@ -479,9 +479,9 @@ def _moment_bounds(y: np.ndarray, u: np.ndarray | None = None) -> list[float]:
        T_ab, where r_a = (1+g)*sqrt(S_aa + 2n*v/g) >= sqrt(T_aa).
     2. A computed mean is within 2e*A_a + v/2 of the exact one, where A_a
        is the prefix's sum of |a|: a sum in any order is within
-       gamma_(n-1)*A_a (Higham eq. 4.4), and one division follows. So in the norm with
-       weights (j-1)/j, the d_a about the exact means are within s_a =
-       sqrt(n)*(2e*A_a + v) of those about the computed means.
+       gamma_(n-1)*A_a (Higham eq. 4.4), and one division follows. So in
+       the norm with weights (j-1)/j, the d_a about the exact means are
+       within s_a = sqrt(n)*(2e*A_a + v) of those about the computed means.
     3. The exact SSE is the least of |d_y - p*d_u|**2 over p. By Minkowski's
        inequality its root is at least sqrt(T) - s_y - P*s_u, where T is the
        least of the same quadratic in p over the T_ab, and P bounds |p| at
@@ -489,7 +489,7 @@ def _moment_bounds(y: np.ndarray, u: np.ndarray | None = None) -> list[float]:
        2*sqrt(n*v/g), so P = (1+g)*(r_y + 2*s_y)/w + e/2 will do, and
        T >= S_yy - S_uy**2/S_uu - 2g*(r_y + P*r_u)**2 by step 1. Where w is
        not above 2*sqrt(n*v/e), P is +inf and the entry 0 or less. With no
-       u, sqrt(T) >= (1-g)*sqrt(S_yy - 2n*v) and P = 0.
+       u, P = 0 and sqrt(T) >= (1-g)*sqrt(S_yy - 2n*v).
     4. ``_fit_line`` sums the squares of y - f, where f are its fitted values,
        to within a factor 1 - g, less n*v. For the constant fit, f is one
        value, so that sum is at least the exact SSE. For a line,
@@ -499,12 +499,14 @@ def _moment_bounds(y: np.ndarray, u: np.ndarray | None = None) -> list[float]:
        is a dot product of the centred u and y over a sum of squares, each
        rounded, so |p| <= P by Cauchy-Schwarz, as w**2 > 4n*v/e. In the
        2-norm, e*|u| <= s_u and 2e*|y| <= s_y. So, by the triangle
-       inequality, |y - f|*(1+2e) is at least the root of the exact SSE,
-       less 2*s_y + 2*P*s_u + n*v, or less s_y for the constant fit.
-    Entry k is (1-g) times the square of that bound, less n*v; entries 0
-    and 1 are 0, the SSE of a fit of at most one point. It runs under
-    ``fit_piecewise``'s np.errstate, where an infinite P or an overflow
-    gives an entry of 0 or less, and never a nan.
+       inequality, |y - f|*(1+2e) is at least the root of the exact SSE
+       less s_y + P*s_u + n*v, and so at least (1-8e)*sqrt(T) - 2*s_y -
+       2*P*s_u - n*v, where 1-8e covers the roundings of that difference.
+       For the constant fit, |y - f| >= (1-g)*sqrt(S_yy - 2n*v) - s_y.
+    Entry k is (1-g)*(1-4e) times the square of that bound, less n*v;
+    entries 0 and 1 are 0, the SSE of a fit of at most one point. It runs
+    under ``fit_piecewise``'s np.errstate, where an infinite P or an
+    overflow gives an entry of 0 or less, and never a nan.
     """
     n, e, v = len(y), 2.0**-53, 2.0**-1074
     g, nv, k = 2 * (n + 4) * e, n * v, np.arange(1.0, n + 1)

@@ -880,7 +880,10 @@ def check_bounds(points, candidates_only=False):
     right = fitting._moment_bounds(ys[::-1], log_xs[::-1])[::-1]
     assert len(right) == size + 1
     for kind in ("energy", "power"):
-        left = fitting._moment_bounds(ys) if kind == "power" else fitting._nonincreasing_bounds(xs.tolist(), ys.tolist())
+        if kind == "power":
+            left = fitting._moment_bounds(ys)
+        else:
+            left = fitting._nonincreasing_bounds(xs.tolist(), ys.tolist())
         assert len(left) == size + 1
         for n in range(1, size + 1):
             candidate = n >= (4 if kind == "energy" else 3) and (
