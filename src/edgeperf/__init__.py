@@ -30,7 +30,7 @@ _EXPORTS = {
     "profiles": (
         "MeasurementRecord", "ModelProfile", "Phase", "Precision", "ProfileRegistry",
         "Technique", "default_registry", "load_measurements", "load_profiles", "mape",
-        "serialize_profiles", "validate_profile",
+        "serialize_profiles",
     ),
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

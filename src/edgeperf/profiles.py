@@ -9,8 +9,12 @@ fields and type hints: profile JSON, the measurement CSV, the planner's
 config-table CSV and the fitters' JSON output. A profile JSON object with a
 key that its schema does not name is refused.
 
+A :class:`ModelProfile` checks itself when it is built, and raises its first
+violation; its coefficient sets are plain data that only a profile judges,
+so a fitter may return a set that no profile would accept.
+
 This is the lowest module: it imports no edgeperf module but ``errors``. So
-it also holds everything that ``validate_profile`` and ``edgeperf validate``
+it also holds everything that a profile's check and ``edgeperf validate``
 compute with: ``padded_length`` and ``prefill_latency``, the piecewise power
 and energy evaluators, and ``mape``. ``latency``, ``energy``, ``planner`` and
 ``fitting`` import those names from here, as the same objects.
@@ -82,13 +86,11 @@ class PrefillLatencyCoeffs:
     b: float  # seconds per token
     c: float  # seconds
 
-    def issues(self) -> list[InvariantViolation]:
-        out = []
+    def _check(self) -> None:
         if not self.a > 0:
-            out.append(InvariantViolation("prefill_latency.a", "a must be > 0"))
+            raise InvariantViolation("prefill_latency.a", "a must be > 0")
         if self.c < 0:
-            out.append(InvariantViolation("prefill_latency.c", "c must be >= 0"))
-        return out
+            raise InvariantViolation("prefill_latency.c", "c must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,17 +100,15 @@ class DecodeLatencyCoeffs:
     m: float  # seconds per context token
     n: float  # seconds per output token
 
-    # Context range over which TBT positivity is required by validation.
+    # A profile's TBT must be positive at every context in [1, MAX_CONTEXT].
     MAX_CONTEXT = 8192
 
-    def issues(self) -> list[InvariantViolation]:
-        out = []
+    def _check(self) -> None:
         if not self.n > 0:
-            out.append(InvariantViolation("decode_latency.n", "n must be > 0"))
-        elif self.n + self.m * self.MAX_CONTEXT <= 0:
+            raise InvariantViolation("decode_latency.n", "n must be > 0")
+        if self.n + self.m * self.MAX_CONTEXT <= 0:
             rule = f"TBT nonpositive within context range [1, {self.MAX_CONTEXT}]"
-            out.append(InvariantViolation("decode_latency.m", rule))
-        return out
+            raise InvariantViolation("decode_latency.m", rule)
 
 
 @dataclass(frozen=True)
@@ -128,17 +128,13 @@ class PiecewisePowerModel:
     log_beta: Optional[float] = None  # watts
     log10: bool = False  # natural log unless explicitly refitted in log10
 
-    def issues(self) -> list[InvariantViolation]:
-        out = []
+    def _check(self) -> None:
         if not self.floor_watts > 0:
-            out.append(InvariantViolation("power.floor_watts", "floor_watts must be > 0"))
+            raise InvariantViolation("power.floor_watts", "floor_watts must be > 0")
         if self.threshold < 0:
-            out.append(InvariantViolation("power.threshold", "threshold must be >= 0"))
-        if math.isfinite(self.threshold) and (
-            self.log_alpha is None or self.log_beta is None
-        ):
-            out.append(InvariantViolation("power.log_alpha", _LOG_BRANCH_REQUIRED))
-        return out
+            raise InvariantViolation("power.threshold", "threshold must be >= 0")
+        if math.isfinite(self.threshold) and (self.log_alpha is None or self.log_beta is None):
+            raise InvariantViolation("power.log_alpha", _LOG_BRANCH_REQUIRED)
 
 
 @dataclass(frozen=True)
@@ -162,22 +158,19 @@ class PiecewiseEnergyModel:
     log_beta: Optional[float] = None
     log10: bool = False
 
-    def issues(self) -> list[InvariantViolation]:
-        out = []
+    def _check(self) -> None:
         if self.threshold < 0:
-            out.append(InvariantViolation("energy.threshold", "threshold must be >= 0"))
+            raise InvariantViolation("energy.threshold", "threshold must be >= 0")
         if self.threshold > 0:
             if self.exp_A is None or self.exp_lambda is None or self.exp_C is None:
                 rule = "decay branch parameters required for threshold > 0"
-                out.append(InvariantViolation("energy.exp_A", rule))
-            else:
-                if self.exp_lambda < 0:
-                    out.append(InvariantViolation("energy.exp_lambda", "exp_lambda must be >= 0"))
-                if self.exp_C < 0:
-                    out.append(InvariantViolation("energy.exp_C", "exp_C must be >= 0"))
+                raise InvariantViolation("energy.exp_A", rule)
+            if self.exp_lambda < 0:
+                raise InvariantViolation("energy.exp_lambda", "exp_lambda must be >= 0")
+            if self.exp_C < 0:
+                raise InvariantViolation("energy.exp_C", "exp_C must be >= 0")
         if self.threshold < math.inf and (self.log_alpha is None or self.log_beta is None):
-            out.append(InvariantViolation("energy.log_alpha", _LOG_BRANCH_REQUIRED))
-        return out
+            raise InvariantViolation("energy.log_alpha", _LOG_BRANCH_REQUIRED)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -210,7 +203,15 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class ModelProfile:
-    """A named model and whichever coefficient sets are published for it."""
+    """A named model and whichever coefficient sets are published for it.
+
+    A profile checks itself when it is built and raises the first
+    :class:`InvariantViolation` it finds: its ``id``, then ``param_count``,
+    then each present coefficient set's rules in field order, then the
+    positivity of its prefill latency, prefill and decode power and prefill
+    energy at 13 grid points in [1, 4096]. A profile that exists passed all
+    of them.
+    """
 
     id: str
     param_count: float = field(metadata={"key": "param_b"})  # billions of parameters
@@ -222,15 +223,30 @@ class ModelProfile:
     decode_power: Optional[PiecewisePowerModel] = None
     decode_energy: Optional[PiecewiseEnergyModel] = None
 
-    def issues(self) -> list[InvariantViolation]:
-        out = []
+    def __post_init__(self):
         if not self.id:
-            out.append(InvariantViolation("profile.id", "id must be non-empty"))
+            raise InvariantViolation("profile.id", "id must be non-empty")
         if not self.param_count > 0:
-            out.append(InvariantViolation("profile.param_count", "param_count must be > 0"))
+            raise InvariantViolation("profile.param_count", "param_count must be > 0")
         for name in self.capabilities():
-            out.extend(getattr(self, name).issues())
-        return out
+            getattr(self, name)._check()
+        # TBT needs no grid: decode_latency's rule makes it positive at
+        # contexts 0 and MAX_CONTEXT, and it is linear in the context.
+        grid = [1, 63, 64, 127, 128, 256, 384, 512, 800, 1024, 2048, 4095, 4096]
+        checks = [  # (coefficient set, its value at a grid point, what a value <= 0 is)
+            ("prefill_latency", lambda _, i: prefill_latency(self, i), "latency at input_len"),
+            ("prefill_power", piecewise_power_value, "watts at input_len"),
+            # A decode position at the threshold is on the log branch (inclusive=False).
+            ("decode_power", lambda m, o: piecewise_power_value(m, o, False), "watts at output_pos"),
+            ("prefill_energy", piecewise_energy_value, "energy at input_len"),
+        ]
+        for name, value, what in checks:
+            model = getattr(self, name)
+            if model is None:
+                continue
+            bad = next((x for x in grid if value(model, x) <= 0), None)
+            if bad is not None:
+                raise InvariantViolation(name, f"nonpositive {what}={bad}")
 
     def capabilities(self) -> list[str]:
         """Names of the coefficient sets this profile carries."""
@@ -552,13 +568,14 @@ def read_rows(source: Source, cls, what: str) -> list:
 # ---------------------------------------------------------------------------
 
 def load_profiles(source: Source) -> ProfileRegistry:
-    """Parse a profile file into a registry, enforcing all invariants.
+    """Parse a profile file into a registry.
 
     ``source`` is a path or an open text stream. Raises :class:`ParseError`
     on malformed syntax or a value of the wrong type (numbers must be finite;
     only a threshold may be unbounded), :class:`DuplicateId` on a repeated
-    id, and :class:`InvariantViolation` when a coefficient value breaks its
-    type's rules.
+    id, and the :class:`InvariantViolation` that a profile raises when it is
+    built (see :class:`ModelProfile`). Each profile is parsed whole before it
+    is built, so a ParseError anywhere in it comes before its violation.
     """
     text = _source_text(source)
     if text.strip() == "":
@@ -571,14 +588,8 @@ def load_profiles(source: Source) -> ProfileRegistry:
         raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("profiles"), list):
         raise ParseError("profile file must be an object with a 'profiles' array")
-    loaded = []
-    for i, entry in enumerate(doc["profiles"]):
-        profile = _from_json(ModelProfile, entry, f"profiles[{i}]")
-        bad = profile.issues()
-        if bad:
-            raise bad[0]
-        loaded.append(profile)
-    return ProfileRegistry(loaded)
+    entries = enumerate(doc["profiles"])
+    return ProfileRegistry([_from_json(ModelProfile, e, f"profiles[{i}]") for i, e in entries])
 
 
 def serialize_profiles(registry: ProfileRegistry) -> str:
@@ -588,7 +599,7 @@ def serialize_profiles(registry: ProfileRegistry) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Validation: the evaluators it runs and the MAPE score it reports
+# The evaluators that a profile's check runs, and the MAPE score `validate` reports
 # ---------------------------------------------------------------------------
 
 def padded_length(input_len: int) -> int:
@@ -668,37 +679,6 @@ def mape(predictions: Sequence[float], actuals: Sequence[float]) -> float:
     if not math.isfinite(result):
         raise DomainError(f"MAPE is {result}: a percentage error is not finite")
     return result
-
-
-def validate_profile(profile: ModelProfile) -> list[InvariantViolation]:
-    """Full validation: type invariants plus positivity over I, O in [1, 4096].
-
-    TBT positivity needs no grid: the decode latency invariant already
-    requires it at contexts 0 and 8192, and TBT is linear in the context.
-
-    Violations are returned, never raised; an empty list means the profile
-    is sound over the checked domain.
-    """
-    out = profile.issues()
-    if out:
-        return out
-
-    grid = [1, 63, 64, 127, 128, 256, 384, 512, 800, 1024, 2048, 4095, 4096]
-    checks = [  # (coefficient set, its value at a grid point, what a value <= 0 is)
-        ("prefill_latency", lambda _, i: prefill_latency(profile, i), "latency at input_len"),
-        ("prefill_power", piecewise_power_value, "watts at input_len"),
-        # A decode position at the threshold is on the log branch (inclusive=False).
-        ("decode_power", lambda m, o: piecewise_power_value(m, o, False), "watts at output_pos"),
-        ("prefill_energy", piecewise_energy_value, "energy at input_len"),
-    ]
-    for name, value, what in checks:
-        model = getattr(profile, name)
-        if model is None:
-            continue
-        bad = next((x for x in grid if value(model, x) <= 0), None)
-        if bad is not None:
-            out.append(InvariantViolation(name, f"nonpositive {what}={bad}"))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,16 @@ import pytest
 import edgeperf
 from edgeperf import cli
 from edgeperf.energy import decode_power
+from edgeperf.errors import InvariantViolation
+from edgeperf.fitting import fit_prefill_latency
 from edgeperf.latency import decode_latency, prefill_latency
-from edgeperf.profiles import builtin_profiles_path, load_profiles, serialize_profiles
+from edgeperf.profiles import (
+    ModelProfile,
+    builtin_profiles_path,
+    load_measurements,
+    load_profiles,
+    serialize_profiles,
+)
 
 SRC = str(Path(edgeperf.__file__).resolve().parents[1])
 
@@ -258,6 +266,57 @@ class TestProfileResolution:
         assert code == 0
         assert out.splitlines()[0] == "dsr1-llama-8b"
         assert len(out.splitlines()) == 6
+
+
+def dipping_profile():
+    # Its sets keep their own rules, but prefill latency is < 0 at input_len 1.
+    return {
+        "id": "dips",
+        "param_b": 1.0,
+        "prefill_latency": {"a": 1e-7, "b": -1e-3, "c": 0.01},
+        "decode_latency": {"m": 1e-6, "n": 0.1},
+    }
+
+
+class TestProfileRefusal:
+    """A profile file is refused at load with the first fault a profile has,
+    in this order: a ParseError anywhere in it, its id and param_b, each
+    present set's rules in field order, then the positivity grid."""
+
+    def predict(self, capsys, tmp_path, entry):
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps({"profiles": [entry]}))
+        return run(capsys, "predict", "--profiles", str(path), "--model", entry["id"],
+                   "--input", "512", "--output", "10")
+
+    def test_negative_prefill_latency_refused_at_load(self, capsys, tmp_path):
+        # This file once loaded and printed prefill=-0.475786 with exit 0.
+        assert self.predict(capsys, tmp_path, dipping_profile()) == (
+            2, "", "error: prefill_latency: nonpositive latency at input_len=1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            # A ParseError in a later field, with a set's violation before it.
+            (
+                {"prefill_latency": {"a": 0.0, "b": 2e-6, "c": 0.05},
+                 "decode_power": {"floor_watts": "abc", "threshold": None}},
+                "profiles[0].decode_power.floor_watts must be a finite number",
+            ),
+            # The profile's own id, with a set's violation.
+            (
+                {"id": "", "prefill_latency": {"a": 0.0, "b": 2e-6, "c": 0.05}},
+                "profile.id: id must be non-empty",
+            ),
+            # A set's violation in a later field, with an earlier grid finding.
+            ({"decode_latency": {"m": 0.0, "n": -0.01}}, "decode_latency.n: n must be > 0"),
+        ],
+        ids=["parse-before-set", "id-before-set", "set-before-grid"],
+    )
+    def test_first_of_two_faults(self, capsys, tmp_path, fault, message):
+        entry = {**dipping_profile(), **fault}
+        assert self.predict(capsys, tmp_path, entry) == (2, "", f"error: {message}\n")
 
 
 class TestValidate:
@@ -617,6 +676,26 @@ class TestFit:
         assert fields["kind"] == "decode_latency"
         assert float(fields["m"]) == pytest.approx(1e-6, rel=1e-4)
         assert float(fields["n"]) == pytest.approx(0.05, rel=1e-4)
+
+    def test_fit_that_no_profile_accepts(self, capsys, tmp_path):
+        # The fitters return what least squares gives, c < 0 here; only a
+        # profile built from the fit refuses it.
+        path = tmp_path / "prefill.csv"
+        path.write_text(
+            "phase,input_len,output_len,latency_s,power_w,energy_j\n"
+            "prefill,128,0,0.010,,\nprefill,256,0,0.030,,\n"
+            "prefill,512,0,0.075,,\nprefill,1024,0,0.200,,\n"
+        )
+        coeffs = fit_prefill_latency(load_measurements(path)).coefficients
+        assert coeffs.c == pytest.approx(-0.00583333, rel=1e-5)
+        assert run(capsys, "fit", "--kind", "prefill-latency", "--data", str(path)) == (
+            0,
+            "kind=prefill_latency a=8.28569e-08 b=0.000116116 c=-0.00583333"
+            " residual_sse=7.25806e-07 points_used=4\n",
+            "",
+        )
+        with pytest.raises(InvariantViolation, match=r"^prefill_latency\.c: c must be >= 0$"):
+            ModelProfile(id="fitted", param_count=1.0, prefill_latency=coeffs)
 
     def test_json_fragment(self, capsys, tmp_path):
         lines = ["phase,input_len,output_len,latency_s,power_w,energy_j"]

@@ -4,7 +4,7 @@ import re
 import warnings
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from edgeperf import default_registry, energy
@@ -22,6 +22,7 @@ from edgeperf.energy import (
 from edgeperf.errors import (
     DomainError,
     ImplausibleWattsWarning,
+    InvariantViolation,
     MissingCoefficient,
     NonpositiveTBT,
     UnitUndeclared,
@@ -40,7 +41,6 @@ from edgeperf.profiles import (
     ModelProfile,
     PiecewisePowerModel,
     PrefillLatencyCoeffs,
-    validate_profile,
 )
 
 DECODE_PROFILES = [
@@ -95,11 +95,12 @@ def valid_decode_profiles(draw):
     first = max(math.ceil(threshold), 1)
     watts = draw(st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 60.0)))
     log_beta = watts - log_alpha * (math.log10(first) if log10 else math.log(first))
-    profile = synthetic(
-        m, n, threshold, log_alpha, log_beta, log10, floor_watts=draw(st.floats(0.1, 60.0))
-    )
-    assume(not validate_profile(profile))
-    return profile
+    try:
+        return synthetic(
+            m, n, threshold, log_alpha, log_beta, log10, floor_watts=draw(st.floats(0.1, 60.0))
+        )
+    except InvariantViolation:  # the decode power dips to <= 0 at a later grid point
+        reject()
 
 
 class TestPrefillPower:
@@ -220,15 +221,19 @@ class TestDecodeEnergy:
 
     @pytest.mark.parametrize("output_len", [3, 20], ids=["floor", "log"])
     def test_first_nonpositive_tbt_context(self, output_len):
-        # TBT = 0.01 - 1e-3 * context rounds to exactly 0 at context 10.
-        profile = synthetic(m=-1e-3, n=0.01, threshold=4.0)
-        message = "TBT model of 'synthetic' is nonpositive at context 10"
+        # TBT = 2**-6 - 2**-20 * context is exactly 0 at context 16384, past
+        # the [1, 8192] over which a profile's TBT must be positive.
+        profile = synthetic(m=-(2**-20), n=2**-6, threshold=4.0)
+        message = "TBT model of 'synthetic' is nonpositive at context 16384"
         for call in (decode_energy, decode_latency, total_latency):
             with pytest.raises(NonpositiveTBT, match=f"^{message}$"):
-                call(profile, 8, output_len)
-        with pytest.raises(NonpositiveTBT, match="at context 50$"):
-            decode_energy(profile, 50, output_len)
-        assert decode_energy(profile, 1, 9) > 0.0  # contexts 1 .. 9
+                call(profile, 16382, output_len)
+        with pytest.raises(NonpositiveTBT, match="at context 16424$"):
+            decode_energy(profile, 16424, output_len)
+        assert decode_energy(profile, 16375, 9) > 0.0  # contexts 16375 .. 16383
+        # A zero inside [1, 8192], as at context 10 here, is refused when built.
+        with pytest.raises(InvariantViolation, match=r"^decode_latency\.m: TBT nonpositive"):
+            synthetic(m=-1e-3, n=0.01, threshold=4.0)
 
     @pytest.mark.parametrize("output_len", [0, 10, 300], ids=["zero", "floor", "log"])
     @pytest.mark.parametrize("input_len", [0, -5])

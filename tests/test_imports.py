@@ -175,7 +175,6 @@ EXPORTS = {
     profiles: [
         "MeasurementRecord", "ModelProfile", "Phase", "Precision", "ProfileRegistry",
         "default_registry", "load_measurements", "load_profiles", "serialize_profiles",
-        "validate_profile",
     ],
 }
 

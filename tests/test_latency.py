@@ -10,6 +10,7 @@ from edgeperf import default_registry, latency
 from edgeperf.errors import (
     DomainError,
     InfeasibleBudget,
+    InvariantViolation,
     MissingCoefficient,
     NonpositiveTBT,
 )
@@ -80,9 +81,16 @@ class TestTbt:
         assert drift == pytest.approx(0.028, abs=0.005)
 
     def test_nonpositive(self):
-        profile = make_profile(m=-1e-3, n=0.01)
-        with pytest.raises(NonpositiveTBT):
-            tbt(profile, 100)
+        # TBT = 2**-6 - 2**-20 * context is exactly 0 at 16384 and 2**-7 at 8192.
+        profile = make_profile(m=-(2**-20), n=2**-6)
+        assert tbt(profile, 8192) == 2**-7
+        assert tbt(profile, 16383) > 0
+        with pytest.raises(NonpositiveTBT, match="at context 16384$"):
+            tbt(profile, 16384)
+        # A zero inside [1, 8192] is refused when the profile is built.
+        rule = r"TBT nonpositive within context range \[1, 8192\]"
+        with pytest.raises(InvariantViolation, match=rf"^decode_latency\.m: {rule}$"):
+            make_profile(m=-1e-3, n=0.01)
 
     def test_context_domain(self, p15):
         with pytest.raises(DomainError):
@@ -125,13 +133,26 @@ class TestDecodeLatency:
             decode_latency(p8, 10, -1)
 
     @settings(max_examples=200, deadline=None)
+    @given(m=st.floats(-1e-2, 1e-2), n=st.floats(-0.5, 0.5))
+    def test_tbt_nonpositive_in_range_refused_when_built(self, m, n):
+        # TBT is linear, so it is positive over [1, 8192] iff it is at 0 and 8192.
+        if n > 0 and n + m * 8192 > 0:
+            assert make_profile(m=m, n=n).decode_latency == DecodeLatencyCoeffs(m=m, n=n)
+        else:
+            with pytest.raises(InvariantViolation, match=r"^decode_latency\.[mn]: "):
+                make_profile(m=m, n=n)
+
+    @settings(max_examples=200, deadline=None)
     @given(
-        m=st.floats(-1e-2, 1e-2),
-        n=st.floats(-0.5, 0.5),
-        input_len=st.integers(1, 300),
-        output_len=st.integers(0, 300),
+        n=st.floats(1e-6, 0.5),
+        # Where m*c + n crosses zero: past 8192, nowhere (m = -0.0), or at a
+        # negative context (m > 0).
+        zero=st.floats(8193.0, 8800.0) | st.just(math.inf) | st.floats(-1e4, -1.0),
+        input_len=st.integers(7800, 8800),
+        output_len=st.integers(0, 1000),
     )
-    def test_refuses_at_first_nonpositive_context(self, m, n, input_len, output_len):
+    def test_refuses_at_first_nonpositive_context(self, n, zero, input_len, output_len):
+        m = -n / zero
         profile = make_profile(m=m, n=n)
         contexts = range(input_len, input_len + output_len)
         bad = next((c for c in contexts if m * c + n <= 0), None)
@@ -340,15 +361,17 @@ class TestInversionContract:
     @given(
         profile=st.one_of(
             st.sampled_from(SHIPPED),
+            # TBT crosses zero past 8192, from just past it to where m is
+            # subnormal, or never (m = -0.0).
             st.builds(
-                make_profile,
-                m=st.one_of(
-                    st.floats(-1e-3, -1e-300), st.floats(-1e-307, -5e-324), st.just(0.0)
-                ),
+                lambda n, zero: make_profile(m=-n / zero, n=n),
                 n=st.floats(1e-6, 1.0),
+                zero=st.one_of(
+                    st.floats(8193.0, 2**15), st.floats(2**15, 1e308), st.just(math.inf)
+                ),
             ),
         ),
-        input_len=st.integers(1, 8192),
+        input_len=st.integers(1, 2**15),
         exponent=st.floats(-3.0, 300.0),
     )
     def test_answer_or_refusal_within_60_evaluations(self, profile, input_len, exponent):

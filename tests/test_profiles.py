@@ -9,7 +9,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from edgeperf import cli, profiles
@@ -35,7 +35,6 @@ from edgeperf.profiles import (
     load_measurements,
     load_profiles,
     serialize_profiles,
-    validate_profile,
 )
 
 
@@ -287,19 +286,22 @@ class TestSerialization:
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(profile=st.builds(
-        ModelProfile,
-        id=st.text(min_size=1, max_size=20),
-        param_count=POSITIVE,
-        precision=st.sampled_from(Precision),
-        prefill_latency=st.none() | st.builds(PrefillLatencyCoeffs, a=POSITIVE, b=FINITE, c=POSITIVE),
-        decode_latency=st.none() | st.builds(DecodeLatencyCoeffs, m=POSITIVE, n=POSITIVE),
-        prefill_power=st.none() | POWER,
-        prefill_energy=st.none() | ENERGY,
-        decode_power=st.none() | POWER,
-        decode_energy=st.none() | ENERGY,
-    ))
-    def test_generated_round_trip(self, profile):
+    @given(sets=st.fixed_dictionaries({
+        "id": st.text(min_size=1, max_size=20),
+        "param_count": POSITIVE,
+        "precision": st.sampled_from(Precision),
+        "prefill_latency": st.none() | st.builds(PrefillLatencyCoeffs, a=POSITIVE, b=FINITE, c=POSITIVE),
+        "decode_latency": st.none() | st.builds(DecodeLatencyCoeffs, m=POSITIVE, n=POSITIVE),
+        "prefill_power": st.none() | POWER,
+        "prefill_energy": st.none() | ENERGY,
+        "decode_power": st.none() | POWER,
+        "decode_energy": st.none() | ENERGY,
+    }))
+    def test_generated_round_trip(self, sets):
+        try:
+            profile = ModelProfile(**sets)
+        except InvariantViolation:  # a drawn curve is <= 0 at a grid point
+            reject()
         registry = ProfileRegistry([profile])
         text = serialize_profiles(registry)
         reloaded = load_profiles(io.StringIO(text))
@@ -322,52 +324,52 @@ DIPPING_PREFILL_ENERGY = PiecewiseEnergyModel(
 
 
 class TestValidateProfile:
+    """A profile validates itself when it is built and raises its first finding."""
+
     def test_builtin_profiles_clean(self, registry):
-        for profile in registry:
-            assert validate_profile(profile) == []
+        for profile in registry:  # building a copy runs every check again
+            assert dataclasses.replace(profile) == profile
 
     def test_nonpositive_tbt_flagged(self):
-        profile = ModelProfile(
-            id="bad",
-            param_count=1.0,
-            decode_latency=DecodeLatencyCoeffs(m=0.0, n=-0.01),
-        )
-        issues = validate_profile(profile)
-        assert any("n must be > 0" in issue.rule for issue in issues)
+        with pytest.raises(InvariantViolation, match=r"^decode_latency\.n: n must be > 0$"):
+            ModelProfile(
+                id="bad",
+                param_count=1.0,
+                decode_latency=DecodeLatencyCoeffs(m=0.0, n=-0.01),
+            )
 
     def test_zero_quadratic_coefficient_flagged(self):
-        profile = ModelProfile(
-            id="bad",
-            param_count=1.0,
-            prefill_latency=PrefillLatencyCoeffs(a=0.0, b=1e-6, c=0.05),
-        )
-        issues = validate_profile(profile)
-        assert any("a must be > 0" in issue.rule for issue in issues)
+        with pytest.raises(InvariantViolation, match=r"^prefill_latency\.a: a must be > 0$"):
+            ModelProfile(
+                id="bad",
+                param_count=1.0,
+                prefill_latency=PrefillLatencyCoeffs(a=0.0, b=1e-6, c=0.05),
+            )
 
     def test_negative_latency_over_grid_flagged(self):
-        # Invariants pass at the type level but the curve dips negative in-domain.
-        profile = ModelProfile(
-            id="dips",
-            param_count=1.0,
-            prefill_latency=PrefillLatencyCoeffs(a=1e-9, b=-1e-3, c=0.0),
-        )
-        issues = validate_profile(profile)
-        assert any(issue.field == "prefill_latency" for issue in issues)
+        # The set's own rules pass, but the curve dips negative in-domain.
+        with pytest.raises(InvariantViolation) as info:
+            ModelProfile(
+                id="dips",
+                param_count=1.0,
+                prefill_latency=PrefillLatencyCoeffs(a=1e-9, b=-1e-3, c=0.0),
+            )
+        assert info.value.field == "prefill_latency"
 
     def test_decode_power_at_threshold_uses_the_log_branch(self):
         # decode_power puts position == threshold on the log branch, which
         # reads -0.001 W at 64 here; the floor branch would read 5 W.
-        profile = ModelProfile(
-            id="dips-at-threshold",
-            param_count=1.0,
-            decode_power=PiecewisePowerModel(
-                floor_watts=5.0, threshold=64, log_alpha=1.0, log_beta=-math.log(64) - 0.001
-            ),
+        with pytest.raises(InvariantViolation) as info:
+            ModelProfile(
+                id="dips-at-threshold",
+                param_count=1.0,
+                decode_power=PiecewisePowerModel(
+                    floor_watts=5.0, threshold=64, log_alpha=1.0, log_beta=-math.log(64) - 0.001
+                ),
+            )
+        assert (info.value.field, info.value.rule) == (
+            "decode_power", "nonpositive watts at output_pos=64"
         )
-        issues = validate_profile(profile)
-        assert [(i.field, i.rule) for i in issues] == [
-            ("decode_power", "nonpositive watts at output_pos=64")
-        ]
 
     @pytest.mark.parametrize(
         "name, coefficients, rule",
@@ -381,22 +383,27 @@ class TestValidateProfile:
         ],
     )
     def test_first_nonpositive_grid_point_pinned(self, name, coefficients, rule):
-        profile = ModelProfile(id="dips", param_count=1.0, **{name: coefficients})
-        assert [(i.field, i.rule) for i in validate_profile(profile)] == [(name, rule)]
+        with pytest.raises(InvariantViolation) as info:
+            ModelProfile(id="dips", param_count=1.0, **{name: coefficients})
+        assert (info.value.field, info.value.rule) == (name, rule)
 
     def test_grid_checks_report_in_field_order(self):
-        profile = ModelProfile(
-            id="dips",
-            param_count=1.0,
-            prefill_latency=DIPPING_PREFILL_LATENCY,
-            prefill_power=DIPPING_PREFILL_POWER,
-            prefill_energy=DIPPING_PREFILL_ENERGY,
-            decode_power=PiecewisePowerModel(
+        # Each profile drops the set that the one before it was refused for.
+        sets = {
+            "prefill_latency": DIPPING_PREFILL_LATENCY,
+            "prefill_power": DIPPING_PREFILL_POWER,
+            "prefill_energy": DIPPING_PREFILL_ENERGY,
+            "decode_power": PiecewisePowerModel(
                 floor_watts=5.0, threshold=64, log_alpha=-1.0, log_beta=math.log(100)
             ),
-        )
-        issues = validate_profile(profile)
-        assert [str(i) for i in issues] == [
+        }
+        refusals = []
+        while sets:
+            with pytest.raises(InvariantViolation) as info:
+                ModelProfile(id="dips", param_count=1.0, **sets)
+            refusals.append(str(info.value))
+            del sets[info.value.field]
+        assert refusals == [
             "prefill_latency: nonpositive latency at input_len=384",
             "prefill_power: nonpositive watts at input_len=384",
             "decode_power: nonpositive watts at output_pos=127",
