@@ -1,8 +1,7 @@
 """Piecewise power models, energy integrals, and cost-per-token arithmetic.
 
 The piecewise evaluators, ``piecewise_power_value`` and
-``piecewise_energy_value``, are defined in ``profiles``, whose validation
-evaluates them, and imported here.
+``piecewise_energy_value``, are defined in ``profiles`` and imported here.
 """
 
 from __future__ import annotations

@@ -35,21 +35,22 @@ The curve fitters share one input domain (``_curve``): every x and y is
 finite, every |y| <= 1e100, and an energy curve has every x >= 0. Any other
 point raises ``DegenerateDesign``.
 
-``fit_piecewise`` visits the candidate breakpoints best first, from a heap
-keyed by a lower bound on each candidate's total SSE, and runs a branch fit
-only when its candidate reaches the front. A floor and a log branch are
-fits of y ~ p*u + q, whose exact SSE running centred moments give for every
-prefix, and on the reversed points for every suffix, in one pass
-(``_moment_bounds``). A decay fit is not linear, but it is non-increasing,
-so one pool-adjacent-violators pass bounds it for every prefix
-(``_nonincreasing_bounds``); a decay prefix that holds a y <= 0 cannot be
-fitted, and its bound is +inf. Each bound is less a margin, derived in its
-docstring, that keeps it at or below the SSE that the fit computes. The
-least total wins, and among totals within 1e-15 of it the smallest
-breakpoint, whatever the order they were found in. Inside the domain no
-skipped fit could have raised, so the result is bit-identical to the full
-scan. Over the 40 jump curves in the tests, under both kinds, it runs 126
-of the full scan's 1169 decay fits and 206 of its 3468 floor and log fits.
+``fit_piecewise`` visits the candidate breakpoints best first, in one pass
+sorted by a lower bound on each candidate's total SSE, and runs a branch
+fit only while the bound leaves the candidate a chance to win. A floor and
+a log branch are fits of y ~ p*u + q, whose exact SSE running centred
+moments give for every prefix, and on the reversed points for every suffix,
+in one pass (``_moment_bounds``). A decay fit is not linear, but it is
+non-increasing, so one pool-adjacent-violators pass bounds it for every
+prefix (``_nonincreasing_bounds``); a decay prefix that holds a y <= 0
+cannot be fitted, and its bound is +inf. Each bound is less a margin,
+derived in its docstring, that keeps it at or below the SSE that the fit
+computes. The least total wins, and among totals within 1e-15 of it the
+smallest breakpoint, whatever the order they were found in. Inside the
+domain no skipped fit could have raised, so the result is bit-identical to
+the full scan. Over the 40 jump curves in the tests, under both kinds, it
+runs 126 of the full scan's 1169 decay fits and 206 of its 3468 floor and
+log fits.
 
 Every coefficient and SSE is returned as a finite plain ``float``; a fit that
 would be non-finite raises ``DegenerateDesign`` instead. ``fitting.mape`` is
@@ -57,7 +58,6 @@ would be non-finite raises ``DegenerateDesign`` instead. ``fitting.mape`` is
 """
 
 import functools
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -613,15 +613,16 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     of the best such fit (Barlow et al. 1972), which
     ``_nonincreasing_bounds`` gives for every prefix, and a decay prefix
     that holds a y <= 0 is bounded by +inf. Each bound is less a margin for
-    rounding. The candidates go on a heap keyed by their left bound
-    plus their right bound. Popping a candidate the first time runs its log
-    fit and pushes it back, keyed by its left bound plus its log SSE;
-    popping it again runs its left fit and records its total. Rounded
-    addition is monotone, so every total is at least its key, and the scan
-    stops once the least total U passes ``U < key - 1e-15`` for the least
-    key left: every total within 1e-15 of U has then been found. Inside the
-    domain no fit that is skipped could have raised, so the result is the
-    full scan's, bit for bit.
+    rounding. The candidates are visited in one pass, sorted by their left
+    bound plus their right bound, their key. Each visit runs the log fit,
+    then the left fit only if the left bound plus the log SSE is not above
+    the least total U found so far by more than 1e-15, and records the
+    total. Rounded addition is monotone, so every total is at least its key
+    and at least its left bound plus its log SSE, and U only falls; the
+    pass stops at the first key with ``U < key - 1e-15``, since every later
+    key is at least as large. Every total within 1e-15 of the final U has
+    then been found. Inside the domain no fit that is skipped could have
+    raised, so the result is the full scan's, bit for bit.
     """
     if kind not in ("power", "energy"):
         raise ValueError(f"kind must be 'power' or 'energy', got {kind!r}")
@@ -645,22 +646,20 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     right_lb = _moment_bounds(ys[::-1], log_xs[::-1])[::-1]
     # n points on the left, x <= bp = xl[n - 1], and at least three on the
     # right. bp must end its run of equal x; the right needs two distinct x > 0.
-    heap = [
-        (left_lb[n] + right_lb[n], n, None)
+    order = sorted(
+        (left_lb[n] + right_lb[n], n)
         for n in range(4 if kind == "energy" else 3, size - 2)
         if xl[n - 1] != xl[n] and xl[n] != xl[-1] and xl[n] > 0 and left_lb[n] < math.inf
-    ]
-    heapq.heapify(heap)
+    )
     fits, least = [], math.inf  # (total, threshold, left fields, right fields)
-    while heap and not least < heap[0][0] - 1e-15:
-        _, n, right = heapq.heappop(heap)
-        if right is None:
-            y = ys[n:]
-            alpha, beta, sse_r = _finite(*_fit_line(log_xs[n:], y, *_centre(y)))
-            heapq.heappush(heap, (left_lb[n] + sse_r, n, (sse_r, {"log_alpha": alpha, "log_beta": beta})))
-        else:
+    for key, n in order:
+        if least < key - 1e-15:
+            break
+        y = ys[n:]
+        alpha, beta, sse_r = _finite(*_fit_line(log_xs[n:], y, *_centre(y)))
+        if not least < left_lb[n] + sse_r - 1e-15:
             sse_l, left = left_fit(n)
-            fits.append((sse_l + right[0], xl[n - 1], left, right[1]))
+            fits.append((sse_l + sse_r, xl[n - 1], left, {"log_alpha": alpha, "log_beta": beta}))
             least = min(least, fits[-1][0])
     best = min((fit for fit in fits if not least < fit[0] - 1e-15), key=lambda fit: fit[1], default=None)
 

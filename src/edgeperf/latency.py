@@ -3,8 +3,7 @@
 Prefill latency is quadratic in the padded input length; decode latency is the
 telescoped sum of a linear time-between-tokens model. All values are seconds
 as 64-bit floats; no unit conversion happens in this layer. ``padded_length``
-and ``prefill_latency`` are defined in ``profiles``, whose validation
-evaluates them, and imported here.
+and ``prefill_latency`` are defined in ``profiles`` and imported here.
 """
 
 from __future__ import annotations

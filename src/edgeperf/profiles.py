@@ -86,11 +86,11 @@ class PrefillLatencyCoeffs:
     b: float  # seconds per token
     c: float  # seconds
 
-    def _check(self) -> None:
+    def _check(self, where: str) -> None:
         if not self.a > 0:
-            raise InvariantViolation("prefill_latency.a", "a must be > 0")
+            raise InvariantViolation(f"{where}.a", "a must be > 0")
         if self.c < 0:
-            raise InvariantViolation("prefill_latency.c", "c must be >= 0")
+            raise InvariantViolation(f"{where}.c", "c must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,12 @@ class DecodeLatencyCoeffs:
     # A profile's TBT must be positive at every context in [1, MAX_CONTEXT].
     MAX_CONTEXT = 8192
 
-    def _check(self) -> None:
+    def _check(self, where: str) -> None:
         if not self.n > 0:
-            raise InvariantViolation("decode_latency.n", "n must be > 0")
+            raise InvariantViolation(f"{where}.n", "n must be > 0")
         if self.n + self.m * self.MAX_CONTEXT <= 0:
             rule = f"TBT nonpositive within context range [1, {self.MAX_CONTEXT}]"
-            raise InvariantViolation("decode_latency.m", rule)
+            raise InvariantViolation(f"{where}.m", rule)
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,13 @@ class PiecewisePowerModel:
     log_beta: Optional[float] = None  # watts
     log10: bool = False  # natural log unless explicitly refitted in log10
 
-    def _check(self) -> None:
+    def _check(self, where: str) -> None:
         if not self.floor_watts > 0:
-            raise InvariantViolation("power.floor_watts", "floor_watts must be > 0")
+            raise InvariantViolation(f"{where}.floor_watts", "floor_watts must be > 0")
         if self.threshold < 0:
-            raise InvariantViolation("power.threshold", "threshold must be >= 0")
+            raise InvariantViolation(f"{where}.threshold", "threshold must be >= 0")
         if math.isfinite(self.threshold) and (self.log_alpha is None or self.log_beta is None):
-            raise InvariantViolation("power.log_alpha", _LOG_BRANCH_REQUIRED)
+            raise InvariantViolation(f"{where}.log_alpha", _LOG_BRANCH_REQUIRED)
 
 
 @dataclass(frozen=True)
@@ -158,19 +158,19 @@ class PiecewiseEnergyModel:
     log_beta: Optional[float] = None
     log10: bool = False
 
-    def _check(self) -> None:
+    def _check(self, where: str) -> None:
         if self.threshold < 0:
-            raise InvariantViolation("energy.threshold", "threshold must be >= 0")
+            raise InvariantViolation(f"{where}.threshold", "threshold must be >= 0")
         if self.threshold > 0:
             if self.exp_A is None or self.exp_lambda is None or self.exp_C is None:
                 rule = "decay branch parameters required for threshold > 0"
-                raise InvariantViolation("energy.exp_A", rule)
+                raise InvariantViolation(f"{where}.exp_A", rule)
             if self.exp_lambda < 0:
-                raise InvariantViolation("energy.exp_lambda", "exp_lambda must be >= 0")
+                raise InvariantViolation(f"{where}.exp_lambda", "exp_lambda must be >= 0")
             if self.exp_C < 0:
-                raise InvariantViolation("energy.exp_C", "exp_C must be >= 0")
+                raise InvariantViolation(f"{where}.exp_C", "exp_C must be >= 0")
         if self.threshold < math.inf and (self.log_alpha is None or self.log_beta is None):
-            raise InvariantViolation("energy.log_alpha", _LOG_BRANCH_REQUIRED)
+            raise InvariantViolation(f"{where}.log_alpha", _LOG_BRANCH_REQUIRED)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -207,7 +207,10 @@ class ModelProfile:
 
     A profile checks itself when it is built and raises the first
     :class:`InvariantViolation` it finds: its ``id``, then ``param_count``,
-    then each present coefficient set's rules in field order, then the
+    then each present coefficient set's rules in field order, each named by
+    the profile field that holds the set (``decode_power.floor_watts``),
+    then the numbers of ``param_count`` and of each present set, which must
+    be finite (an ``unbounded`` field may also be +inf), then the
     positivity of its prefill latency, prefill and decode power and prefill
     energy at 13 grid points in [1, 4096]. A profile that exists passed all
     of them.
@@ -228,8 +231,12 @@ class ModelProfile:
             raise InvariantViolation("profile.id", "id must be non-empty")
         if not self.param_count > 0:
             raise InvariantViolation("profile.param_count", "param_count must be > 0")
-        for name in self.capabilities():
-            getattr(self, name)._check()
+        names = self.capabilities()
+        for name in names:
+            getattr(self, name)._check(name)
+        _check_finite(self, "profile")
+        for name in names:
+            _check_finite(getattr(self, name), name)
         # TBT needs no grid: decode_latency's rule makes it positive at
         # contexts 0 and MAX_CONTEXT, and it is linear in the context.
         grid = [1, 63, 64, 127, 128, 256, 384, 512, 800, 1024, 2048, 4095, 4096]
@@ -327,6 +334,24 @@ def _schema(cls) -> tuple[_Field, ...]:
     return tuple(out)
 
 
+def _admits(f: _Field, value) -> bool:
+    """Whether float field ``f`` takes ``value``: finite as a float, or +inf where ``f`` is unbounded."""
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        return False
+    return math.isfinite(value) or (f.unbounded and value == math.inf)
+
+
+def _check_finite(record, where: str) -> None:
+    """Raise an InvariantViolation for the first present float field of ``record`` that ``_admits`` refuses."""
+    for f in _schema(type(record)):
+        value = getattr(record, f.name)
+        if f.kind is float and value is not None and not _admits(f, value):
+            rule = f"{f.name} must be finite" + (" or +inf" if f.unbounded else "")
+            raise InvariantViolation(f"{where}.{f.name}", rule)
+
+
 def _source_text(source: Source, newline: str | None = None) -> str:
     """All the text of a path, opened with ``newline`` as ``open`` takes it, or of an open text stream."""
     try:
@@ -370,14 +395,8 @@ def _json_value(f: _Field, value, where: str):
     """A present JSON value as the type of field ``f``."""
     kind = f.kind
     if kind is float:
-        # A bool is no number, and an integer past the float range is not finite.
-        if type(value) in (int, float):
-            try:
-                value = float(value)
-            except OverflowError:
-                value = math.nan
-            if math.isfinite(value) or (f.unbounded and value == math.inf):
-                return value
+        if type(value) in (int, float) and _admits(f, value):  # a bool is no number
+            return float(value)
         raise ParseError(f"{where}.{f.key} must be a finite number")
     if is_dataclass(kind):
         return _from_json(kind, value, f"{where}.{f.key}")

@@ -20,6 +20,7 @@ from edgeperf.profiles import (
     builtin_profiles_path,
     load_measurements,
     load_profiles,
+    mape,
     serialize_profiles,
 )
 
@@ -318,6 +319,26 @@ class TestProfileRefusal:
         entry = {**dipping_profile(), **fault}
         assert self.predict(capsys, tmp_path, entry) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "name, body, message",
+        [
+            ("decode_power", {"floor_watts": 0.0}, "decode_power.floor_watts: floor_watts must be > 0"),
+            (
+                "decode_energy",
+                {"exp_A": 0.1, "exp_lambda": 0.01, "exp_C": -0.01},
+                "decode_energy.exp_C: exp_C must be >= 0",
+            ),
+        ],
+    )
+    def test_a_decode_set_is_named_by_its_field(self, capsys, tmp_path, name, body, message):
+        # A valid prefill set of the same type sits beside it, so only the
+        # profile field tells the two apart.
+        entry = json.loads(TOY_PROFILES)["profiles"][0]
+        entry["prefill_power"] = {"floor_watts": 5.0, "threshold": None}
+        entry["prefill_energy"] = {"threshold": None, "exp_A": 0.1, "exp_lambda": 0.01, "exp_C": 0.01}
+        entry[name] = {**entry[name.replace("decode", "prefill")], **body}
+        assert self.predict(capsys, tmp_path, entry) == (2, "", f"error: {message}\n")
+
 
 class TestValidate:
     def data_path(self, name):
@@ -400,6 +421,29 @@ class TestValidate:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_json_holds_the_unrounded_mapes(self, capsys, registry):
+        # Only text mode rounds to two decimal places.
+        data = self.data_path("dsr1-qwen-14b-gpu.csv")
+        code, out, err = run(capsys, "validate", "--json", "--model", "dsr1-qwen-14b", "--data", data)
+        assert (code, err) == (0, "")
+        p14, records = registry.get("dsr1-qwen-14b"), load_measurements(data)
+        prefill = [r for r in records if r.phase.value == "prefill"]
+        decode = [r for r in records if r.phase.value == "decode"]
+        assert json.loads(out) == {
+            "prefill_mape": mape([prefill_latency(p14, r.input_len) for r in prefill], [r.latency for r in prefill]),
+            "decode_mape": mape(
+                [decode_latency(p14, r.input_len, r.output_len) for r in decode], [r.latency for r in decode]
+            ),
+        }
+        assert list(json.loads(out)) == ["prefill_mape", "decode_mape"]
+
+    def test_header_only_data_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("phase,input_len,output_len,latency_s,power_w,energy_j\n")
+        assert run(capsys, "validate", "--model", "dsr1-qwen-14b", "--data", str(path)) == (
+            2, "", "error: no prefill or decode rows in data file\n"
+        )
 
     def test_malformed_data_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
@@ -711,6 +755,34 @@ class TestFit:
         assert set(doc["fit"]["prefill_latency"]) == {"a", "b", "c"}
         assert doc["points_used"] == 4
 
+    def test_log_curve_min_x(self, capsys, tmp_path):
+        # Below x = 256 the curve is flat; --min-x 256 leaves only its log
+        # part, which the fit then matches.
+        lines = ["phase,input_len,output_len,latency_s,power_w,energy_j"]
+        lines += [f"prefill,{i},0,0.1,5.0," for i in (64, 128)]
+        lines += [f"prefill,{i},0,0.1,{0.5 * math.log(i) + 2.0!r}," for i in (256, 512, 1024, 2048)]
+        path = tmp_path / "power.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["fit", "--json", "--kind", "log-curve", "--phase", "prefill", "--y-field", "power", "--data", str(path)]
+        code, out, err = run(capsys, *argv, "--min-x", "256")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["points_used"] == 4
+        assert doc["fit"]["log_curve"] == pytest.approx({"log_alpha": 0.5, "log_beta": 2.0}, rel=1e-12)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["points_used"] == 6
+
+    def test_log_curve_min_x_past_every_point_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "power.csv"
+        path.write_text(
+            "phase,input_len,output_len,latency_s,power_w,energy_j\nprefill,64,0,0.1,5.0,\nprefill,128,0,0.1,5.5,\n"
+        )
+        code, out, err = run(
+            capsys, "fit", "--kind", "log-curve", "--phase", "prefill", "--y-field", "power",
+            "--data", str(path), "--min-x", "1e6",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: need >= 2 distinct x >= 1000000.0, found 0\n"
 
     ENERGY_ROWS = [(16, 0.05), (32, 0.03), (64, 0.01), (128, 0.005), (256, 0.002)]
 

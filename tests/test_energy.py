@@ -117,6 +117,24 @@ class TestPrefillPower:
             prefill_power(p15, 0)
 
 
+@pytest.mark.parametrize(
+    "call, missing",
+    [
+        (lambda p: prefill_power(p, 512), "prefill_power"),
+        (lambda p: prefill_energy_per_token(p, 512), "prefill_energy"),
+        (lambda p: total_energy(p, 512, 10), "prefill_energy"),
+        (lambda p: decode_power(p, 10), "decode_power"),
+        (lambda p: decode_energy(p, 512, 10), "decode_power"),
+    ],
+    ids=["prefill_power", "prefill_energy_per_token", "total_energy", "decode_power", "decode_energy"],
+)
+def test_a_missing_set_is_named(call, missing):
+    bare = ModelProfile(id="bare", param_count=1.0)
+    with pytest.raises(MissingCoefficient, match=f"^profile 'bare' has no {missing} coefficients$") as info:
+        call(bare)
+    assert (info.value.model_id, info.value.coefficient_set) == ("bare", missing)
+
+
 class TestPrefillEnergyPerToken:
     def test_decay_branch(self, p15):
         assert prefill_energy_per_token(p15, 128) == pytest.approx(0.002148, rel=1e-3)

@@ -1028,7 +1028,7 @@ class TestPiecewisePruning:
     def test_an_unbounded_candidate_takes_the_x_order_scan(self, decay_fits, where):
         # Neither case takes an x-order scan any more. A negative x is outside
         # the energy fit's domain. A candidate past the first y <= 0 has a
-        # +inf left bound and never reaches the front of the heap.
+        # +inf left bound and is left out of the sorted pass.
         points = sorted(jump_curve(8))
         if where == "negative x":
             points[0] = (-1.0, points[0][1])

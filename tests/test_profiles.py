@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, reject, settings
@@ -121,6 +122,20 @@ class TestLoadProfiles:
     def test_missing_profiles_key(self):
         with pytest.raises(ParseError):
             load_profiles(io.StringIO(json.dumps({"models": []})))
+
+    def test_missing_path(self, tmp_path, cli_refuses):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ParseError, match=f"^no such file: {re.escape(str(path))}$"):
+            load_profiles(path)
+        cli_refuses("list-models", "--profiles", str(path))
+
+    def test_non_object_entry(self, tmp_path, cli_refuses):
+        text = json.dumps({"profiles": [["toy", 1.0]]})
+        with pytest.raises(ParseError, match=r"^profiles\[0\] must be an object$"):
+            load_profiles(io.StringIO(text))
+        path = tmp_path / "list.json"
+        path.write_text(text)
+        cli_refuses("list-models", "--profiles", str(path))
 
     def test_invariant_violation_on_bad_coefficient(self):
         entry = minimal_profile_json()
@@ -409,6 +424,113 @@ class TestValidateProfile:
             "decode_power: nonpositive watts at output_pos=127",
             "prefill_energy: nonpositive energy at input_len=512",
         ]
+
+    @pytest.mark.parametrize(
+        "name, coefficients, field, rule",
+        [
+            (None, {"id": ""}, "profile.id", "id must be non-empty"),
+            (None, {"param_count": 0.0}, "profile.param_count", "param_count must be > 0"),
+            ("prefill_latency", PrefillLatencyCoeffs(a=0.0, b=0.0, c=0.1), "prefill_latency.a", "a must be > 0"),
+            ("prefill_latency", PrefillLatencyCoeffs(a=1e-7, b=0.0, c=-0.1), "prefill_latency.c", "c must be >= 0"),
+            ("decode_latency", DecodeLatencyCoeffs(m=0.0, n=0.0), "decode_latency.n", "n must be > 0"),
+            (
+                "decode_latency",
+                DecodeLatencyCoeffs(m=-1e-3, n=0.1),
+                "decode_latency.m",
+                "TBT nonpositive within context range [1, 8192]",
+            ),
+        ]
+        + [
+            (name, PiecewisePowerModel(**values), f"{name}.{key}", rule)
+            for name in ("prefill_power", "decode_power")
+            for values, key, rule in [
+                ({"floor_watts": 0.0, "threshold": math.inf}, "floor_watts", "floor_watts must be > 0"),
+                ({"floor_watts": 5.0, "threshold": -1.0}, "threshold", "threshold must be >= 0"),
+                ({"floor_watts": 5.0, "threshold": 64.0, "log_beta": 1.0}, "log_alpha", profiles._LOG_BRANCH_REQUIRED),
+            ]
+        ]
+        + [
+            (name, PiecewiseEnergyModel(**values), f"{name}.{key}", rule)
+            for name in ("prefill_energy", "decode_energy")
+            for values, key, rule in [
+                ({"threshold": -1.0}, "threshold", "threshold must be >= 0"),
+                (
+                    {"threshold": 64.0, "exp_A": 0.1, "exp_lambda": 0.01},
+                    "exp_A",
+                    "decay branch parameters required for threshold > 0",
+                ),
+                (
+                    {"threshold": math.inf, "exp_A": 0.1, "exp_lambda": -0.01, "exp_C": 0.01},
+                    "exp_lambda",
+                    "exp_lambda must be >= 0",
+                ),
+                (
+                    {"threshold": math.inf, "exp_A": 0.1, "exp_lambda": 0.01, "exp_C": -0.01},
+                    "exp_C",
+                    "exp_C must be >= 0",
+                ),
+                ({"threshold": 0.0, "log_alpha": 0.01}, "log_alpha", profiles._LOG_BRANCH_REQUIRED),
+            ]
+        ],
+    )
+    def test_every_rule_names_its_profile_field(self, name, coefficients, field, rule):
+        # A piecewise set's violation is named by the profile field that holds
+        # it, so a bad decode_power reads apart from a bad prefill_power.
+        values = {"id": "bad", "param_count": 1.0}
+        values.update(coefficients if name is None else {name: coefficients})
+        with pytest.raises(InvariantViolation) as info:
+            ModelProfile(**values)
+        assert (info.value.field, info.value.rule) == (field, rule)
+
+    @pytest.mark.parametrize(
+        "values, field, rule",
+        [
+            # Built, this set once raised a bare TypeError in the grid.
+            (
+                {"decode_power": PiecewisePowerModel(floor_watts=5.0, threshold=math.nan)},
+                "decode_power.threshold",
+                "threshold must be finite or +inf",
+            ),
+            # Built, this set once gave a nan decode latency and a budget of
+            # 2**53 - 1 tokens at 10 s.
+            ({"decode_latency": DecodeLatencyCoeffs(m=math.nan, n=0.1)}, "decode_latency.m", "m must be finite"),
+            ({"prefill_latency": PrefillLatencyCoeffs(1e-7, math.nan, 0.1)}, "prefill_latency.b", "b must be finite"),
+            ({"prefill_latency": PrefillLatencyCoeffs(math.inf, 0.0, 0.1)}, "prefill_latency.a", "a must be finite"),
+            (
+                {"prefill_energy": PiecewiseEnergyModel(math.inf, exp_A=math.nan, exp_lambda=0.01, exp_C=0.01)},
+                "prefill_energy.exp_A",
+                "exp_A must be finite",
+            ),
+            ({"param_count": math.inf}, "profile.param_count", "param_count must be finite"),
+            ({"param_count": 10**400}, "profile.param_count", "param_count must be finite"),
+            # A set's own rule comes before any set's finiteness, ...
+            (
+                {
+                    "decode_latency": DecodeLatencyCoeffs(m=math.nan, n=0.1),
+                    "decode_power": PiecewisePowerModel(floor_watts=0.0, threshold=math.inf),
+                },
+                "decode_power.floor_watts",
+                "floor_watts must be > 0",
+            ),
+            # ... and finiteness before the grid, where b = -inf is < 0 at input_len 1.
+            ({"prefill_latency": PrefillLatencyCoeffs(1e-7, -math.inf, 0.1)}, "prefill_latency.b", "b must be finite"),
+        ],
+        ids=[
+            "nan-threshold",
+            "nan-m",
+            "nan-b",
+            "inf-a",
+            "nan-exp_A",
+            "inf-param_count",
+            "param_count-past-the-float-range",
+            "rule-before-finiteness",
+            "finiteness-before-grid",
+        ],
+    )
+    def test_a_non_finite_coefficient_is_refused(self, values, field, rule):
+        with pytest.raises(InvariantViolation) as info:
+            ModelProfile(**{"id": "bad", "param_count": 1.0, **values})
+        assert (info.value.field, info.value.rule) == (field, rule)
 
 
 class TestLoadMeasurements:
