@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional
 
 from . import latency, profiles
@@ -86,8 +86,9 @@ def _emit(result, args) -> None:
 
 
 def _point_dict(point) -> dict:
-    # vars() of a dataclass lists its fields in declaration order.
-    return {**vars(point), "technique": point.technique.value}
+    # A slotted record has no vars(); fields() gives its fields in declaration order.
+    values = {f.name: getattr(point, f.name) for f in fields(point)}
+    return values | {"technique": point.technique.value}
 
 
 # ---------------------------------------------------------------------------

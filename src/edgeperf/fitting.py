@@ -36,8 +36,8 @@ finite, every |y| <= 1e100, and an energy curve has every x >= 0. Any other
 point raises ``DegenerateDesign``.
 
 ``fit_piecewise`` visits the candidate breakpoints best first, in one pass
-sorted by a lower bound on each candidate's total SSE, and runs a branch
-fit only while the bound leaves the candidate a chance to win. A floor and
+sorted by a lower bound on each candidate's total SSE, and fits them only
+while the bound leaves a candidate a chance to win. A floor and
 a log branch are fits of y ~ p*u + q, whose exact SSE running centred
 moments give for every prefix, and on the reversed points for every suffix,
 in one pass (``_moment_bounds``). A decay fit is not linear, but it is
@@ -614,15 +614,14 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
     ``_nonincreasing_bounds`` gives for every prefix, and a decay prefix
     that holds a y <= 0 is bounded by +inf. Each bound is less a margin for
     rounding. The candidates are visited in one pass, sorted by their left
-    bound plus their right bound, their key. Each visit runs the log fit,
-    then the left fit only if the left bound plus the log SSE is not above
-    the least total U found so far by more than 1e-15, and records the
-    total. Rounded addition is monotone, so every total is at least its key
-    and at least its left bound plus its log SSE, and U only falls; the
-    pass stops at the first key with ``U < key - 1e-15``, since every later
-    key is at least as large. Every total within 1e-15 of the final U has
-    then been found. Inside the domain no fit that is skipped could have
-    raised, so the result is the full scan's, bit for bit.
+    bound plus their right bound, their key. Each visit runs the log fit
+    and the left fit and records the total. Rounded addition is monotone,
+    so every total is at least its key, and the least total U found so far
+    only falls; the pass stops at the first key with ``U < key - 1e-15``,
+    since every later key is at least as large. Every total within 1e-15
+    of the final U has then been found. Inside the domain no fit that is
+    skipped could have raised, so the result is the full scan's, bit for
+    bit.
     """
     if kind not in ("power", "energy"):
         raise ValueError(f"kind must be 'power' or 'energy', got {kind!r}")
@@ -657,10 +656,9 @@ def fit_piecewise(points: Sequence[tuple[float, float]], kind: str) -> FitResult
             break
         y = ys[n:]
         alpha, beta, sse_r = _finite(*_fit_line(log_xs[n:], y, *_centre(y)))
-        if not least < left_lb[n] + sse_r - 1e-15:
-            sse_l, left = left_fit(n)
-            fits.append((sse_l + sse_r, xl[n - 1], left, {"log_alpha": alpha, "log_beta": beta}))
-            least = min(least, fits[-1][0])
+        sse_l, left = left_fit(n)
+        fits.append((sse_l + sse_r, xl[n - 1], left, {"log_alpha": alpha, "log_beta": beta}))
+        least = min(least, fits[-1][0])
     best = min((fit for fit in fits if not least < fit[0] - 1e-15), key=lambda fit: fit[1], default=None)
 
     # The single-branch fit over every point; a decay fit raises here, where

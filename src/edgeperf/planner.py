@@ -10,6 +10,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter, neg
 from pathlib import Path
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -23,7 +24,7 @@ from .profiles import MeasurementRecord, Phase, Source, Technique, mape, read_ro
 OBJECTIVES = ("accuracy", "latency", "cost")
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class ConfigPoint:
     """One deployment configuration row; the fields are the config table's columns, in order."""
 
@@ -65,23 +66,6 @@ def load_config_table(source: Source) -> list[ConfigPoint]:
     Empty cells mean absent fields.
     """
     return read_rows(source, ConfigPoint, "config table")
-
-
-def _objective_values(point: ConfigPoint, objectives: Sequence[str]) -> Optional[tuple]:
-    """Values oriented so smaller is better; None when a field is absent."""
-    out = []
-    for obj in objectives:
-        if obj == "accuracy":
-            out.append(-point.accuracy)
-        elif obj == "latency":
-            if point.latency is None:
-                return None
-            out.append(point.latency)
-        else:  # cost; pareto_frontier has rejected unknown objectives
-            if point.cost is None:
-                return None
-            out.append(point.cost)
-    return tuple(out)
 
 
 def _nondominated(vectors: Iterable[tuple]) -> set:
@@ -134,16 +118,21 @@ def pareto_frontier(points: Sequence[ConfigPoint], objectives: Iterable[str]) ->
         raise DomainError("need at least 2 objectives")
     if not points:
         raise DomainError("need at least 1 point")
-    scored = [(p, v) for p in points for v in [_objective_values(p, objs)] if v is not None]
+    # One column per objective, oriented so that smaller is better.
+    columns = [map(attrgetter(obj), points) for obj in objs]
+    if objs[0] == "accuracy":  # maximized; OBJECTIVES puts it first
+        columns[0] = map(neg, columns[0])
+    scored = [(p, v) for p, v in zip(points, zip(*columns)) if None not in v]
 
     kept = _nondominated(v for _, v in scored)
     frontier = []
     seen = set()
     for p, v in scored:
-        key = (p.model_id, p.technique, v, p.token_budget, p.scaling_factor)
-        if v in kept and key not in seen:
-            frontier.append(p)
-            seen.add(key)
+        if v in kept:
+            key = (p.model_id, p.technique, v, p.token_budget, p.scaling_factor)
+            if key not in seen:
+                frontier.append(p)
+                seen.add(key)
     frontier.sort(
         key=lambda p: (
             p.latency if p.latency is not None else float("inf"),

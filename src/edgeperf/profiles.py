@@ -173,7 +173,7 @@ class PiecewiseEnergyModel:
             raise InvariantViolation(f"{where}.log_alpha", _LOG_BRANCH_REQUIRED)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class MeasurementRecord:
     """One raw benchmark row; the fields are the measurement CSV's columns, in order."""
 
@@ -489,11 +489,12 @@ def _chunk(reader) -> tuple[list[list[str]], list[int], Optional[ParseError]]:
 def _records(cls, columns, rows: list[list[str]]) -> list:
     """The records of ``rows``, built a column at a time.
 
-    ``columns`` holds each field's name, column parser and default
-    (``_REQUIRED`` for none). A row of the wrong width or a cell that its
-    parser refuses raises ValueError; an empty cell takes its field's
-    default, or is parsed if the field has none. A record that refuses
-    itself raises its InvariantViolation.
+    ``columns`` holds each field's slot store (its slot descriptor's
+    ``__set__``), column parser and default (``_REQUIRED`` for none). A
+    row of the wrong width or a cell that its parser refuses raises
+    ValueError; an empty cell takes its field's default, or is parsed if
+    the field has none. A record that refuses itself raises its
+    InvariantViolation.
     """
     widths = set(map(len, rows)) - {len(columns)}
     if widths:
@@ -506,15 +507,12 @@ def _records(cls, columns, rows: list[list[str]]) -> list:
         else:  # an empty cell takes the default, as an omitted keyword does
             present = iter(parse([cell for cell in cells if cell]))
             parsed.append([next(present) if cell else default for cell in cells])
-    # The frozen __init__'s own stores, in its order, then its check.
-    names = [name for name, _, _ in columns]
-    check = cls.__post_init__
-    records = []
-    for values in zip(*parsed):
-        record = object.__new__(cls)
-        deque(map(object.__setattr__, repeat(record), names, values), 0)
-        check(record)
-        records.append(record)
+    # Each column goes into its field's slot with one map, then every record
+    # is checked in row order, so the first bad record raises first.
+    records = list(map(object.__new__, repeat(cls, len(rows))))
+    for (store, _, _), values in zip(columns, parsed):
+        deque(map(store, records, values), 0)
+    deque(map(cls.__post_init__, records), 0)
     return records
 
 
@@ -548,12 +546,14 @@ def read_rows(source: Source, cls, what: str) -> list:
     default. ``what`` names the table in errors, and each error names the
     physical line that its row starts on, so a quoted cell that spans lines
     counts each of them. An InvariantViolation that a record raises when it
-    is built is raised again with the row's line. ``cls`` checks itself in
+    is built is raised again with the row's line. ``cls`` must be a
+    frozen dataclass with ``slots=True`` that checks itself in
     ``__post_init__``.
 
     One builder makes every record: ``_records`` parses a chunk of
-    ``_CHUNK`` rows a column at a time and gives each record its fields as
-    the frozen ``__init__`` stores them. A chunk that it refuses drops its
+    ``_CHUNK`` rows a column at a time and stores each column into its
+    field's slot through the slot descriptor, as the frozen ``__init__``
+    would store it, without its frame. A chunk that it refuses drops its
     blank rows and gets one more pass; if that fails too, its rows go
     through ``_records`` one at a time, only to name the first bad row.
     """
@@ -568,7 +568,7 @@ def read_rows(source: Source, cls, what: str) -> list:
         raise ParseError(f"empty {what} (header required)")
     if [h.strip() for h in first] != header:
         raise ParseError(f"bad header {first!r}, expected {','.join(header)}", line=1)
-    columns = [(f.name, _column_parser(f.kind), f.default) for f in schema]
+    columns = [(vars(cls)[f.name].__set__, _column_parser(f.kind), f.default) for f in schema]
     records = []
     while True:
         rows, ends, refused = _chunk(reader)

@@ -33,10 +33,21 @@ from edgeperf.profiles import MeasurementRecord, Phase
 HEADER = "model_id,technique,token_budget,accuracy_pct,avg_tokens,latency_s,cost_per_mtok,scaling_factor\n"
 
 
+def _objective_values(point, objs):
+    """A point's objective values, oriented so smaller is better; None when a field is absent."""
+    out = []
+    for obj in objs:
+        value = getattr(point, obj)
+        if value is None:
+            return None
+        out.append(-value if obj == "accuracy" else value)
+    return tuple(out)
+
+
 def _pareto_reference(points, objectives):
     """The all-pairs frontier that pareto_frontier's sweep must reproduce."""
     objs = sorted(set(objectives), key=planner.OBJECTIVES.index)
-    scored = [(p, v) for p in points for v in [planner._objective_values(p, objs)] if v is not None]
+    scored = [(p, v) for p in points for v in [_objective_values(p, objs)] if v is not None]
 
     def dominated(cv):
         for _, other in scored:

@@ -839,16 +839,33 @@ class TestReadRows:
         )
         records = load_config_table(io.StringIO(text)) + load_measurements(io.StringIO(measurements))
         assert len(records) == 600
+        for cls in (ConfigPoint, MeasurementRecord):
+            assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
         for record in records:
             cls = type(record)
             built = cls(**{f.name: getattr(record, f.name) for f in dataclasses.fields(cls)})
             assert record == built and hash(record) == hash(built) and repr(record) == repr(built)
-            assert list(vars(record).items()) == list(vars(built).items())
+            # A slotted record has no __dict__ for vars() to read; compare slot by slot.
+            assert not hasattr(record, "__dict__")
+            slots = [(name, getattr(record, name)) for name in cls.__slots__]
+            assert slots == [(name, getattr(built, name)) for name in cls.__slots__]
             assert dataclasses.replace(record) == dataclasses.replace(built)
             for f in dataclasses.fields(cls):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(record, f.name, None)
             assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_slotted_records_refuse_vars_and_unknown_names(self):
+        # A slotted record has no __dict__, and its frozen __setattr__ hands a
+        # name that is no field to super() of the class as it was before
+        # slots=True remade it, which the record is not an instance of.
+        records = load_config_table(io.StringIO(CONFIG_TABLE_HEADER + "m,base,,50,100,1.0,0.1,1\n"))
+        records += load_measurements(io.StringIO(MEASUREMENT_HEADER + "prefill,128,0,0.2,,\n"))
+        for record in records:
+            with pytest.raises(TypeError):
+                vars(record)
+            with pytest.raises(TypeError):  # not FrozenInstanceError, an AttributeError
+                record.not_a_field = 1
 
     FIELD_LIMIT = "x" * 131_073  # one past csv's default field size limit
 
