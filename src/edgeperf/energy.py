@@ -105,7 +105,6 @@ def decode_power(profile: ModelProfile, output_pos: int) -> float:
     return watts
 
 
-_LN10 = math.log(10.0)
 # ln A, Glaisher's constant, and ln H(n) - ln A for n < 32 (see _ln_hyperfactorial).
 _LN_GLAISHER = 0.24875447703378426
 _P_LN_P = [k * math.log(k) for k in range(1, 32)]
@@ -144,8 +143,7 @@ def decode_energy(profile: ModelProfile, input_len: int, output_len: int) -> flo
         + beta * (c0 * (O-a+1) + m * sum p),
 
     the sums running over p in [a, O]: sum ln p = lgamma(O+1) - lgamma(a),
-    and sum p ln p is a difference of log-hyperfactorials. For log10 fits
-    alpha is divided by ln 10.
+    and sum p ln p is a difference of log-hyperfactorials.
 
     Accuracy: within 1e-12 relative of math.fsum of the per-token products,
     as the tests check on every shipped profile and on generated valid ones
@@ -170,14 +168,13 @@ def decode_energy(profile: ModelProfile, input_len: int, output_len: int) -> flo
     c0 = m * (input_len - 1) + coeffs.n
     a = max(math.ceil(model.threshold), 1)
     o = output_len
-    alpha = model.log_alpha / _LN10 if model.log10 else model.log_alpha
     sum_ln = math.lgamma(o + 1) - math.lgamma(a)
     sum_p_ln = _ln_hyperfactorial(o) - _ln_hyperfactorial(a - 1)
     sum_p = (o * (o + 1) - (a - 1) * a) // 2
     floor = model.floor_watts * ((a - 1) * c0 + m * ((a - 1) * a // 2))
     return (
         floor
-        + alpha * (c0 * sum_ln + m * sum_p_ln)
+        + model.log_alpha * (c0 * sum_ln + m * sum_p_ln)
         + model.log_beta * (c0 * (o - a + 1) + m * sum_p)
     )
 

@@ -2,8 +2,7 @@
 
 Loads accuracy/latency/cost rows, computes Pareto frontiers, answers
 constrained-selection queries, aggregates parallel samples by majority vote
-and summarizes prefill/decode phase ratios. ``planner.mape`` is
-``profiles.mape``, the score that ``edgeperf validate`` reports.
+and summarizes prefill/decode phase ratios.
 """
 
 import warnings
@@ -16,7 +15,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import DomainError, EmptyInput, InvariantViolation, ZeroDecodeWarning, ZeroPrefill
 from .latency import LatencyBudget
-from .profiles import MeasurementRecord, Phase, Source, Technique, mape, read_rows
+from .profiles import MeasurementRecord, Phase, Source, Technique, read_rows
 
 
 # Objective names accepted by pareto_frontier. Accuracy is maximized; the

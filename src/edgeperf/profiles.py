@@ -116,7 +116,7 @@ class PiecewisePowerModel:
     """Constant-then-logarithmic average power in watts.
 
     Below ``threshold`` tokens the power is the flat ``floor_watts``; at or
-    beyond it the log branch ``log_alpha * log(x) + log_beta`` applies. An
+    beyond it the log branch ``log_alpha * ln x + log_beta`` applies. An
     infinite threshold yields a constant-only model, in which case the log
     parameters may be omitted.
     """
@@ -124,9 +124,8 @@ class PiecewisePowerModel:
     floor_watts: float
     # tokens; math.inf for constant-only models
     threshold: float = field(metadata={"unbounded": True})
-    log_alpha: Optional[float] = None  # watts per log(token)
+    log_alpha: Optional[float] = None  # watts per ln(token)
     log_beta: Optional[float] = None  # watts
-    log10: bool = False  # natural log unless explicitly refitted in log10
 
     def _check(self, where: str) -> None:
         if not self.floor_watts > 0:
@@ -142,7 +141,7 @@ class PiecewiseEnergyModel:
     """Exponential-decay-then-logarithmic energy per token.
 
     Below ``threshold`` tokens: ``exp_A * exp(-exp_lambda * x) + exp_C``.
-    At or beyond it: ``log_alpha * log(x) + log_beta``. The threshold may be
+    At or beyond it: ``log_alpha * ln x + log_beta``. The threshold may be
     infinite (decay-only) or zero (log-only). ``unit`` records whether the
     fitted values are declared to be joules per token; arithmetic that needs
     joules refuses models whose unit is merely "fitted".
@@ -156,7 +155,6 @@ class PiecewiseEnergyModel:
     exp_C: Optional[float] = None
     log_alpha: Optional[float] = None
     log_beta: Optional[float] = None
-    log10: bool = False
 
     def _check(self, where: str) -> None:
         if self.threshold < 0:
@@ -392,7 +390,7 @@ def _from_json(cls, obj, where: str):
 
 
 def _json_value(f: _Field, value, where: str):
-    """A present JSON value as the type of field ``f``."""
+    """A present JSON value as the type of field ``f``: a float, a record, an Enum or a str."""
     kind = f.kind
     if kind is float:
         if type(value) in (int, float) and _admits(f, value):  # a bool is no number
@@ -405,21 +403,20 @@ def _json_value(f: _Field, value, where: str):
             return kind(value)
         except (ValueError, TypeError):
             raise ParseError(f"{where}.{f.key}: unknown value {value!r}") from None
-    if type(value) is not kind:  # a str or bool field takes only its own JSON type
-        expected = "true or false" if kind is bool else "a string"
-        raise ParseError(f"{where}.{f.key} must be {expected}")
+    if type(value) is not kind:  # a str field takes only a JSON string
+        raise ParseError(f"{where}.{f.key} must be a string")
     return value
 
 
 def to_json(record) -> dict:
     """A record as a JSON object, keys in field order.
 
-    None and False are left out, and an infinite unbounded value is null.
+    None is left out, and an infinite unbounded value is null.
     """
     out = {}
     for f in _schema(type(record)):
         value = getattr(record, f.name)
-        if value is None or value is False:
+        if value is None:
             continue
         if f.unbounded and math.isinf(value):
             value = None
@@ -556,7 +553,11 @@ def read_rows(source: Source, cls, what: str) -> list:
     would store it, without its frame. A chunk that it refuses drops its
     blank rows and gets one more pass; if that fails too, its rows go
     through ``_records`` one at a time, only to name the first bad row.
+    A ``cls`` without slots or ``__post_init__`` raises TypeError.
     """
+    if "__slots__" not in vars(cls) or not hasattr(cls, "__post_init__"):
+        rule = "a frozen dataclass with slots=True that checks itself in __post_init__"
+        raise TypeError(f"read_rows needs {rule}; {cls.__name__} is not")
     schema = _schema(cls)
     header = [f.key for f in schema]
     reader = csv.reader(io.StringIO(_source_text(source, newline=""), newline=""))
@@ -637,10 +638,6 @@ def prefill_latency(profile: ModelProfile, input_len: int) -> float:
     return coeffs.a * ipad * ipad + coeffs.b * ipad + coeffs.c
 
 
-def _log(x: float, log10: bool) -> float:
-    return math.log10(x) if log10 else math.log(x)
-
-
 def piecewise_power_value(
     model: PiecewisePowerModel, x: float, inclusive: bool = True
 ) -> float:
@@ -652,14 +649,14 @@ def piecewise_power_value(
     on_floor = x <= model.threshold if inclusive else x < model.threshold
     if on_floor:
         return model.floor_watts
-    return model.log_alpha * _log(x, model.log10) + model.log_beta
+    return model.log_alpha * math.log(x) + model.log_beta
 
 
 def piecewise_energy_value(model: PiecewiseEnergyModel, x: float) -> float:
     """Evaluate an exp-decay/log energy-per-token model at x tokens."""
     if x <= model.threshold:
         return model.exp_A * math.exp(-model.exp_lambda * x) + model.exp_C
-    return model.log_alpha * _log(x, model.log10) + model.log_beta
+    return model.log_alpha * math.log(x) + model.log_beta
 
 
 def _pairwise_sum(values: Sequence[float]) -> float:

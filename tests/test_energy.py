@@ -58,7 +58,7 @@ def per_token_sum(profile, input_len, output_len):
         )
 
 
-def synthetic(m, n, threshold=4.0, log_alpha=1.0, log_beta=5.0, log10=False, floor_watts=5.9):
+def synthetic(m, n, threshold=4.0, log_alpha=1.0, log_beta=5.0, floor_watts=5.9):
     return ModelProfile(
         id="synthetic",
         param_count=1.0,
@@ -69,16 +69,14 @@ def synthetic(m, n, threshold=4.0, log_alpha=1.0, log_beta=5.0, log10=False, flo
             threshold=threshold,
             log_alpha=log_alpha,
             log_beta=log_beta,
-            log10=log10,
         ),
     )
 
 
 @st.composite
 def valid_decode_profiles(draw):
-    """Valid generated profiles: both log bases, fractional thresholds and
-    thresholds <= 1, TBT slopes of each sign, power up to near zero at the
-    threshold."""
+    """Valid generated profiles: fractional thresholds and thresholds <= 1,
+    TBT slopes of each sign, power up to near zero at the threshold."""
     n = draw(st.floats(0.005, 0.5))
     m = draw(st.sampled_from([-1.0, 0.0, 1.0])) * n / 8192 * draw(st.floats(0.0, 0.9))
     threshold = draw(
@@ -89,16 +87,13 @@ def valid_decode_profiles(draw):
             st.integers(1, 300).map(float),
         )
     )
-    log10 = draw(st.booleans())
     log_alpha = draw(st.floats(-5.0, 20.0))
     # Power at the first log-branch position, from near zero up.
     first = max(math.ceil(threshold), 1)
     watts = draw(st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 60.0)))
-    log_beta = watts - log_alpha * (math.log10(first) if log10 else math.log(first))
+    log_beta = watts - log_alpha * math.log(first)
     try:
-        return synthetic(
-            m, n, threshold, log_alpha, log_beta, log10, floor_watts=draw(st.floats(0.1, 60.0))
-        )
+        return synthetic(m, n, threshold, log_alpha, log_beta, floor_watts=draw(st.floats(0.1, 60.0)))
     except InvariantViolation:  # the decode power dips to <= 0 at a later grid point
         reject()
 

@@ -1431,11 +1431,9 @@ class TestCoefficientsToJson:
             (PrefillLatencyCoeffs(a=1.0, b=2.0, c=3.0), "prefill_latency", "a b c"),
             (DecodeLatencyCoeffs(m=1.0, n=2.0), "decode_latency", "m n"),
             (
-                PiecewisePowerModel(
-                    floor_watts=5.0, threshold=64.0, log_alpha=1.0, log_beta=2.0, log10=True
-                ),
+                PiecewisePowerModel(floor_watts=5.0, threshold=64.0, log_alpha=1.0, log_beta=2.0),
                 "power",
-                "floor_watts threshold log_alpha log_beta log10",
+                "floor_watts threshold log_alpha log_beta",
             ),
             (
                 PiecewiseEnergyModel(
@@ -1446,10 +1444,9 @@ class TestCoefficientsToJson:
                     log_alpha=1.0,
                     log_beta=2.0,
                     unit=EnergyUnit.JOULES_PER_TOKEN,
-                    log10=True,
                 ),
                 "energy",
-                "threshold unit exp_A exp_lambda exp_C log_alpha log_beta log10",
+                "threshold unit exp_A exp_lambda exp_C log_alpha log_beta",
             ),
             (LogCurve(log_alpha=1.0, log_beta=2.0), "log_curve", "log_alpha log_beta"),
             (ExpDecay(exp_A=1.0, exp_lambda=2.0, exp_C=3.0), "exp_decay", "exp_A exp_lambda exp_C"),

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from fnmatch import fnmatchcase
 from fractions import Fraction
 from pathlib import Path
 
@@ -131,7 +132,7 @@ def test_profiles_and_mape_load_only_errors_and_profiles():
 
 
 def test_moved_functions_keep_their_old_paths():
-    assert fitting.mape is planner.mape is profiles.mape is edgeperf.mape
+    assert fitting.mape is profiles.mape is edgeperf.mape
     assert latency.prefill_latency is profiles.prefill_latency
     assert latency.padded_length is profiles.padded_length
     assert energy.piecewise_power_value is profiles.piecewise_power_value
@@ -201,7 +202,6 @@ def test_from_import_and_unknown_name():
     from edgeperf import FitResult, mape
 
     assert (FitResult, mape) == (fitting.FitResult, fitting.mape)
-    assert mape is planner.mape
     assert edgeperf.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no attribute 'fit_nothing'"):
         edgeperf.fit_nothing
@@ -215,3 +215,19 @@ def test_console_scripts_name_callables():
     for target in scripts.values():
         module, _, name = target.partition(":")
         assert callable(getattr(importlib.import_module(module), name, None)), target
+
+
+def test_package_data_globs_cover_every_data_file():
+    # Tests import from src/, so a data file that no glob names passes here and
+    # is missing from an installed wheel.
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["edgeperf"]
+    package = Path(SRC) / "edgeperf"
+    files = [p.relative_to(package) for p in (package / "data").rglob("*") if p.is_file()]
+    assert files
+    for rel in files:
+        assert any(
+            rel.parent == Path(glob).parent and fnmatchcase(rel.name, Path(glob).name)
+            for glob in globs
+        ), rel

@@ -64,12 +64,12 @@ def full_profile_json(model_id="toy"):
 
 
 # Every key of full_profile_json(), plus the ones it leaves at their defaults.
-SETTABLE_KEYS = [(None, "param_b"), (None, "precision"), ("prefill_power", "log10")] + [
+SETTABLE_KEYS = [(None, "param_b"), (None, "precision")] + [
     (section, key)
     for section, body in full_profile_json().items()
     if isinstance(body, dict)
     for key in body
-] + [("prefill_energy", "unit"), ("prefill_energy", "log10")]
+] + [("prefill_energy", "unit")]
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
@@ -156,7 +156,6 @@ class TestLoadProfiles:
         "section, key, value",
         [
             ("prefill_power", "log_alpha", "abc"),
-            ("prefill_power", "log10", "false"),
             ("prefill_latency", "b", math.nan),
             ("decode_latency", "m", math.inf),
             ("prefill_power", "floor_watts", math.inf),
@@ -193,15 +192,12 @@ class TestLoadProfiles:
             for name, got in vars(record).items():
                 if isinstance(got, float):
                     assert math.isfinite(got) or (name == "threshold" and got == math.inf)
-                assert name != "log10" or type(got) is bool
 
     def test_strict_values_load(self):
         entry = full_profile_json()
-        entry["prefill_power"]["log10"] = True
         entry["prefill_energy"]["threshold"] = "inf"
         entry["prefill_energy"]["unit"] = "joules_per_token"
         profile = load_profiles(io.StringIO(json.dumps({"profiles": [entry]}))).get("toy")
-        assert profile.prefill_power.log10 is True
         assert profile.prefill_energy.threshold == math.inf
         assert profile.prefill_energy.unit is EnergyUnit.JOULES_PER_TOKEN
 
@@ -230,6 +226,20 @@ class TestLoadProfiles:
             load_profiles(io.StringIO(text))
         assert str(info.value) == message
         path = tmp_path / "typo.json"
+        path.write_text(text)
+        code = cli.run(["predict", "--profiles", str(path), "--model", "toy", "--input", "512", "--output", "8"])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_log10_key_refused(self, value, tmp_path, capsys):
+        # Every log branch is natural; a log10 fit converts to log_alpha / ln 10.
+        entry = full_profile_json()
+        entry["prefill_power"]["log10"] = value
+        text = json.dumps({"profiles": [entry]})
+        message = "profiles[0].prefill_power: unknown key 'log10'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_profiles(io.StringIO(text))
+        path = tmp_path / "log10.json"
         path.write_text(text)
         code = cli.run(["predict", "--profiles", str(path), "--model", "toy", "--input", "512", "--output", "8"])
         assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
@@ -264,7 +274,6 @@ POWER = st.builds(
     threshold=THRESHOLD,
     log_alpha=FINITE,
     log_beta=FINITE,
-    log10=st.booleans(),
 )
 ENERGY = st.builds(
     PiecewiseEnergyModel,
@@ -275,7 +284,6 @@ ENERGY = st.builds(
     exp_C=POSITIVE,
     log_alpha=FINITE,
     log_beta=FINITE,
-    log10=st.booleans(),
 )
 
 
@@ -796,6 +804,25 @@ def csv_tables(draw):
     return name, header + "".join(line + "\n" for line in lines)
 
 
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class UnslottedQuery:
+    """A record that read_rows cannot store into: it has no slot descriptors."""
+
+    model: str
+    n: int = 1
+
+    def __post_init__(self):
+        pass
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True, slots=True)
+class UncheckedQuery:
+    """A record that read_rows cannot check: it has no __post_init__."""
+
+    model: str
+    n: int = 1
+
+
 def outcome(load, text):
     """The records' reprs, or the refusal's type, message and line."""
     try:
@@ -1009,3 +1036,27 @@ class TestReadRows:
         with pytest.raises(ValueError) as err:
             profiles._column_parser(kind)(cells)
         assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "table, flags",
+        [
+            ("config", ["plan", "--max-cost", "1", "--table"]),
+            ("measurement", ["fit", "--kind", "prefill-latency", "--data"]),
+        ],
+        ids=["config", "measurement"],
+    )
+    def test_an_empty_table_is_refused(self, table, flags, tmp_path, capsys):
+        load, _, what, *_ = TABLES[table]
+        message = f"empty {what} (header required)"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load(io.StringIO(""))
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        code = cli.run([*flags, str(path)])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("cls", [UnslottedQuery, UncheckedQuery], ids=["no-slots", "no-post-init"])
+    def test_a_record_class_outside_the_contract_is_refused(self, cls):
+        rule = "a frozen dataclass with slots=True that checks itself in __post_init__"
+        with pytest.raises(TypeError, match=f"^read_rows needs {re.escape(rule)}; {cls.__name__} is not$"):
+            profiles.read_rows(io.StringIO("model,n\nx,2\n"), cls, "query table")
